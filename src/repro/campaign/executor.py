@@ -349,7 +349,18 @@ def metrics_to_run_metrics(metrics: dict) -> RunMetrics:
 
 #: Smallest miss group worth routing through the lockstep batch engine;
 #: below this the per-batch numpy setup outweighs the vectorization win.
+#: Independent-mode DualHP groups must also reach
+#: :data:`DUALHP_CROSSOVER`.
 MIN_BATCH = 4
+
+#: Smallest independent-mode DualHP group the lockstep engine runs
+#: faster than per-row scalar searches.  Measured by
+#: ``benchmarks/bench_dualhp_crossover.py`` as batch time over scalar
+#: time on ``layered`` rows of 64 / 256 tasks: 2.1 / 1.3 at 16 rows,
+#: 1.3 / 0.75 at 32, 0.96 / 0.54 at 64 — 32 rows is where the two
+#: sizes break even on (geometric) average.  Applies on top of the
+#: caller's ``min_batch``.
+DUALHP_CROSSOVER = 32
 
 
 #: Algorithms with a lockstep batch implementation.  ``independent``
@@ -404,21 +415,34 @@ def _batch_key(spec: InstanceSpec) -> tuple | None:
     )
 
 
+def _min_rows(key: tuple, min_batch: int) -> int:
+    """Smallest group of batch key *key* that runs in lockstep."""
+    if key[:2] == ("independent", "dualhp"):
+        return max(min_batch, DUALHP_CROSSOVER)
+    return min_batch
+
+
 def plan_batches(
     specs: Sequence[InstanceSpec], *, min_batch: int = MIN_BATCH
 ) -> list[list[int]]:
     """Group indices of *specs* into lockstep-executable batches.
 
-    Returns index lists (into *specs*) in first-appearance order, each
-    of size >= *min_batch*; specs left out of every group take the
-    scalar :func:`execute_spec` path unchanged.
+    Returns index lists (into *specs*) in first-appearance order.  A
+    group runs in lockstep from *min_batch* members, or from
+    :data:`DUALHP_CROSSOVER` for independent-mode DualHP when that is
+    larger; specs left out of every group take the scalar
+    :func:`execute_spec` path unchanged.
     """
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         key = _batch_key(spec)
         if key is not None:
             groups.setdefault(key, []).append(i)
-    return [members for members in groups.values() if len(members) >= min_batch]
+    return [
+        members
+        for key, members in groups.items()
+        if len(members) >= _min_rows(key, min_batch)
+    ]
 
 
 def _execute_independent_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
@@ -530,14 +554,16 @@ def plan_units(
 ) -> tuple[list[WorkUnit], dict[str, int], int]:
     """Plan *specs* (a miss list) into backend work units.
 
-    Lockstep groups of >= *min_batch* specs become single batch units
-    (kept whole — they are the steal granularity); everything else
-    becomes one scalar unit per spec, in ascending index order.
-    Returns ``(units, fallback_policy, fallback_small)`` —
-    ``fallback_policy`` maps each algorithm with no batch implementation
-    to its count of scalar-path specs, ``fallback_small`` counts specs
-    whose group was too small (both empty/0 when *batch* is off: no
-    fallback happened, batching was never requested).
+    Lockstep groups that reach their planning threshold (*min_batch*,
+    or :data:`DUALHP_CROSSOVER` for independent-mode DualHP when that is
+    larger) become single batch units (kept whole — they are the steal
+    granularity); everything else becomes one scalar unit per spec, in
+    ascending index order.  Returns ``(units, fallback_policy,
+    fallback_small)`` — ``fallback_policy`` maps each algorithm with no
+    batch implementation to its count of scalar-path specs,
+    ``fallback_small`` counts specs whose group was too small (both
+    empty/0 when *batch* is off: no fallback happened, batching was
+    never requested).
     """
     units: list[WorkUnit] = []
     fallback_policy: dict[str, int] = {}
@@ -553,8 +579,8 @@ def plan_units(
                 scalar.append(i)
             else:
                 groups.setdefault(key, []).append(i)
-        for members in groups.values():
-            if len(members) >= min_batch:
+        for key, members in groups.items():
+            if len(members) >= _min_rows(key, min_batch):
                 units.append(
                     WorkUnit(
                         unit_id=len(units),
@@ -693,7 +719,8 @@ def run_campaign(
         wall clock (and amortises ``elapsed_s`` telemetry over each
         batch).
     min_batch:
-        Smallest group the batch engine will take on.
+        Smallest group the batch engine will take on (independent-mode
+        DualHP groups also need :data:`DUALHP_CROSSOVER` members).
     backend:
         Executor backend for the misses — one of
         :data:`repro.campaign.backends.BACKEND_NAMES`.  ``None``/

@@ -46,7 +46,8 @@ class CampaignStats:
     broken out by *why* it fell back — ``fallback_policy`` (the policy
     has no batch implementation, with the per-algorithm attribution in
     ``fallback_by_algorithm``), ``fallback_small`` (the lockstep group
-    was smaller than ``MIN_BATCH``) and ``fallback_runtime`` (the
+    was smaller than ``MIN_BATCH``, or than ``DUALHP_CROSSOVER`` for
+    independent-mode DualHP) and ``fallback_runtime`` (the
     engine declined at run time, e.g. ragged task counts).  ``backend``
     names the executor backend that ran the misses and ``steals``
     counts work-stealing transfers (0 elsewhere).

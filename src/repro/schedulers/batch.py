@@ -290,7 +290,7 @@ class _BatchDualHPTrier:
     """One binary-search worker: vectorized ``dualhp_try`` over live rows.
 
     Holds the lam-independent state (phase sort orders, class geometry,
-    preallocated scratch) so each guess costs only the masked k-loops.
+    initial class loads) so each guess costs only the phase loops.
     """
 
     def __init__(
@@ -302,17 +302,15 @@ class _BatchDualHPTrier:
     ):
         self.cpu = cpu
         self.gpu = gpu
-        self.platforms = platforms
-        B, n = cpu.shape
-        self.B, self.n = B, n
-        pos = np.broadcast_to(np.arange(n), cpu.shape)
+        pos = np.broadcast_to(np.arange(cpu.shape[1]), cpu.shape)
         # Forced phases and the leftover phase process tasks sorted by
         # (-priority, uid); the optional phase by (-acceleration,
         # -priority, uid).  Position stands in for uid.
         self.prio_order = np.lexsort((pos, -prio))
         self.acc_order = np.lexsort((pos, -prio, -(cpu / gpu)))
-        self.m = np.array([p.num_cpus for p in platforms], dtype=np.int64)
-        self.g = np.array([p.num_gpus for p in platforms], dtype=np.int64)
+        self.cpu_loads, self.gpu_loads = _class_loads(platforms)
+        self.has_cpu = np.array([p.num_cpus > 0 for p in platforms])
+        self.has_gpu = np.array([p.num_gpus > 0 for p in platforms])
 
     def try_rows(
         self, rs: np.ndarray, lam: np.ndarray, record: "_DualHPRecorder | None" = None
@@ -322,67 +320,81 @@ class _BatchDualHPTrier:
         Mirrors ``dualhp_try`` phase for phase: forced-GPU and forced-CPU
         packs (any overflow is infeasible), the acceleration-ordered
         optional pack on the GPUs (overflow falls through), then the
-        leftover pack on the CPUs.  With *record*, placements are logged
-        in the scalar replay order — which equals pack order per class,
-        since the replay re-runs the same least-loaded rule per class.
+        leftover pack on the CPUs.  Each phase first moves every row's
+        members to the front of its order (rows already infeasible have
+        none), so it steps only as far as its longest row.  With
+        *record*, placements are logged in the scalar pack order.
         """
-        cpu, gpu = self.cpu, self.gpu
         R = rs.size
-        n = self.n
+        ar = np.arange(R)
         limit = 2.0 * lam
         lam_col = lam[:, None]
-        cpu_loads, gpu_loads = _class_loads(tuple(self.platforms[i] for i in rs))
-        ar = np.arange(R)
+        cpu, gpu = self.cpu[rs], self.gpu[rs]
+        cpu_loads, gpu_loads = self.cpu_loads[rs], self.gpu_loads[rs]
+        has_cpu = self.has_cpu[rs][:, None]
+        has_gpu = self.has_gpu[rs][:, None]
 
-        forced_gpu = cpu[rs] > lam_col
-        forced_cpu = gpu[rs] > lam_col
+        forced_gpu = cpu > lam_col
+        forced_cpu = gpu > lam_col
         both = forced_gpu & forced_cpu
         forced_gpu &= ~both
         forced_cpu &= ~both
         optional = ~forced_gpu & ~forced_cpu & ~both
         infeasible = both.any(axis=1)
-        infeasible |= forced_gpu.any(axis=1) & (self.g[rs] == 0)
-        infeasible |= forced_cpu.any(axis=1) & (self.m[rs] == 0)
-
-        leftover = np.zeros((R, n), dtype=bool)
+        infeasible |= (forced_gpu & ~has_gpu).any(axis=1)
+        infeasible |= (forced_cpu & ~has_cpu).any(axis=1)
         po = self.prio_order[rs]
         ao = self.acc_order[rs]
-        has_gpu = self.g[rs] > 0
 
-        def pack(loads, member, order_k, dur, k, overflow_to=None):
-            tk = order_k[:, k]
-            sel = np.flatnonzero(member[ar, tk])
-            if not sel.size:
-                return
-            tks = tk[sel]
-            d = dur[sel, tks]
-            sub = loads[sel]
-            slot = np.argmin(sub, axis=1)  # least (load, index)
-            old = sub[np.arange(sel.size), slot]
-            can = old + d <= limit[sel]
-            okr = sel[can]
-            loads[okr, slot[can]] = old[can] + d[can]
-            if record is not None:
-                record.log(rs[okr], loads is gpu_loads, slot[can], tks[can], old[can], d[can])
-            if overflow_to is None:
-                infeasible[sel[~can]] = True
-            else:
-                overflow_to[sel[~can], tks[~can]] = True
+        def pack(loads, member, order, dur):
+            """Pack the members in order; returns ``(row, task)`` overflows."""
+            tasks, valid = _compact(member & ~infeasible[:, None], order)
+            # Off-member slots carry a zero duration: they rewrite a load
+            # with itself and their outcome is masked out by *valid*.
+            d = np.where(valid, np.take_along_axis(dur, tasks, axis=1), 0.0)
+            fits = np.empty(tasks.shape, dtype=bool)
+            flat = loads.reshape(-1)  # a view: writes land in *loads*
+            base = ar * loads.shape[1]
+            for k in range(tasks.shape[1]):
+                slot = loads.argmin(axis=1)  # least (load, index)
+                at = base + slot
+                old = flat.take(at)
+                new = old + d[:, k]
+                ok = new <= limit
+                flat.put(at, np.where(ok, new, old))
+                fits[:, k] = ok
+                if record is not None:
+                    done = np.flatnonzero(ok & valid[:, k])
+                    record.log(
+                        rs[done], loads is gpu_loads, slot[done],
+                        tasks[done, k], old[done], d[done, k],
+                    )
+            rows, cols = np.nonzero(valid & ~fits)
+            return rows, tasks[rows, cols]
 
-        for k in range(n):
-            pack(gpu_loads, forced_gpu, po, gpu[rs], k)
-        for k in range(n):
-            pack(cpu_loads, forced_cpu, po, cpu[rs], k)
+        infeasible[pack(gpu_loads, forced_gpu, po, gpu)[0]] = True
+        infeasible[pack(cpu_loads, forced_cpu, po, cpu)[0]] = True
         # Optional tasks on rows without GPUs skip straight to leftover.
-        no_gpu_opt = optional & ~has_gpu[:, None]
-        leftover |= no_gpu_opt
-        opt_try = optional & has_gpu[:, None]
-        for k in range(n):
-            pack(gpu_loads, opt_try, ao, gpu[rs], k, overflow_to=leftover)
-        infeasible |= leftover.any(axis=1) & (self.m[rs] == 0)
-        for k in range(n):
-            pack(cpu_loads, leftover, po, cpu[rs], k)
+        leftover = optional & ~has_gpu
+        leftover[pack(gpu_loads, optional & has_gpu, ao, gpu)] = True
+        infeasible |= (leftover & ~has_cpu).any(axis=1)
+        infeasible[pack(cpu_loads, leftover, po, cpu)[0]] = True
         return ~infeasible
+
+
+def _compact(member: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's members, in *order*, moved to the front of the row.
+
+    Returns the ``(R, k)`` task matrix, ``k`` the largest member count,
+    and its ``(R, k)`` mask of real members; a stable sort keeps each
+    row's members in phase order.
+    """
+    in_order = np.take_along_axis(member, order, axis=1)
+    counts = in_order.sum(axis=1)
+    width = int(counts.max()) if counts.size else 0
+    first = np.argsort(~in_order, axis=1, kind="stable")[:, :width]
+    valid = np.arange(width) < counts[:, None]
+    return np.take_along_axis(order, first, axis=1), valid
 
 
 class _DualHPRecorder:
@@ -465,21 +477,17 @@ def batch_dualhp_schedule(
         bad = np.flatnonzero(~feasible)
         hi[bad] *= 2.0
         feasible[bad] = trier.try_rows(bad, hi[bad])
-    best_lam = hi.copy()
-
     active = (hi - lo) > rtol * np.maximum(hi, 1.0)
     while active.any():
         rs = np.flatnonzero(active)
         mid = 0.5 * (lo[rs] + hi[rs])
         ok = trier.try_rows(rs, mid)
         lo[rs[~ok]] = mid[~ok]
-        accepted = rs[ok]
-        hi[accepted] = mid[ok]
-        best_lam[accepted] = mid[ok]
+        hi[rs[ok]] = mid[ok]
         active[rs] = (hi[rs] - lo[rs]) > rtol * np.maximum(hi[rs], 1.0)
 
     recorder = _DualHPRecorder(B, n, m_off)
-    trier.try_rows(rows, best_lam, record=recorder)
+    trier.try_rows(rows, hi, record=recorder)
     return BatchScheduleResult(
         platforms=platforms,
         makespans=recorder.makespans,
@@ -487,5 +495,5 @@ def batch_dualhp_schedule(
         rec_slots=recorder.slots,
         rec_starts=recorder.starts,
         rec_ends=recorder.ends,
-        lams=best_lam,
+        lams=hi,
     )

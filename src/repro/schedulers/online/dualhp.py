@@ -72,13 +72,16 @@ class DualHPPolicy(OnlinePolicy):
     # -- assignment ------------------------------------------------------------
 
     def _reassign(self, time: float, running: Mapping[Worker, RunningView]) -> None:
-        """Binary-search the smallest feasible guess and split the pool."""
+        """Binary-search the smallest feasible guess and split the pool.
+
+        The pool's durations are extracted once, in acceleration order;
+        each guess only asks :func:`_pack` for a yes/no answer, and the
+        class split is built once, at the accepted guess.
+        """
         assert self._platform is not None
         platform = self._platform
-        tasks = sorted(
-            self._pool,
-            key=lambda t: (-t.acceleration, -t.priority, self._pool[t]),
-        )
+        pool = self._pool
+        tasks = sorted(pool, key=lambda t: (-t.acceleration, -t.priority, pool[t]))
         cpu_init = [0.0] * platform.num_cpus
         gpu_init = [0.0] * platform.num_gpus
         # repro-lint: disable=unordered-iteration -- each Worker key occurs
@@ -95,91 +98,90 @@ class DualHPPolicy(OnlinePolicy):
             self._class_queues = {ResourceKind.CPU: [], ResourceKind.GPU: []}
             return
 
+        # (position, p, q) in acceleration order, extracted once.
+        triples = [(k, t.cpu_time, t.gpu_time) for k, t in enumerate(tasks)]
+        cpus = sorted(cpu_init)  # a sorted list is a valid heap
+        gpus = sorted(gpu_init)
         base = max(max(cpu_init, default=0.0), max(gpu_init, default=0.0))
-        hi = base + max(
-            sum(t.min_time() for t in tasks),
-            max(t.min_time() for t in tasks),
-        )
-        assignment = self._try(tasks, hi, cpu_init, gpu_init)
-        while assignment is None:  # pragma: no cover - hi is always feasible
+        shortest = [min(p, q) for _, p, q in triples]
+        hi = base + max(sum(shortest), max(shortest))
+        # hi need not be feasible: on a single-class platform, a task
+        # longer than hi on the present class is forced onto the absent one.
+        while not _pack(triples, hi, cpus, gpus):
             hi *= 2.0
-            assignment = self._try(tasks, hi, cpu_init, gpu_init)
         lo = 0.0
         while hi - lo > ONLINE_RTOL * hi:
             mid = 0.5 * (lo + hi)
-            trial = self._try(tasks, mid, cpu_init, gpu_init)
-            if trial is None:
-                lo = mid
-            else:
+            if _pack(triples, mid, cpus, gpus):
                 hi = mid
-                assignment = trial
+            else:
+                lo = mid
+        on_gpu = [False] * len(tasks)
+        _pack(triples, hi, cpus, gpus, on_gpu)
         queues: dict[ResourceKind, list[Task]] = {
-            ResourceKind.CPU: [],
-            ResourceKind.GPU: [],
+            ResourceKind.CPU: [t for t, g in zip(tasks, on_gpu) if not g],
+            ResourceKind.GPU: [t for t, g in zip(tasks, on_gpu) if g],
         }
-        for task, kind in assignment.items():
-            queues[kind].append(task)
         # Workers pop from the tail: lowest (priority, arrival) last.
         for queue in queues.values():
-            queue.sort(key=lambda t: (t.priority, -self._pool[t]))
+            queue.sort(key=lambda t: (t.priority, -pool[t]))
         self._class_queues = queues
 
-    def _try(
-        self,
-        tasks_by_rho: list[Task],
-        lam: float,
-        cpu_init: list[float],
-        gpu_init: list[float],
-    ) -> dict[Task, ResourceKind] | None:
-        """One dual round on the pool; ``None`` when *lam* is infeasible.
 
-        Mirrors :func:`repro.schedulers.dualhp.dualhp_try` but only
-        yields the class split (the runtime decides actual workers), and
-        accounts for the initial class loads of running work.
+def _pack(
+    triples: list[tuple[int, float, float]],
+    lam: float,
+    cpus: list[float],
+    gpus: list[float],
+    on_gpu: list[bool] | None = None,
+) -> bool:
+    """One dual round on the pool: whether guess *lam* is feasible.
 
-        Class loads are kept in binary heaps of ``(load, slot)`` so each
-        pack is O(log m) instead of a linear argmin over the class; the
-        heap minimum is the exact element the old scan chose (smallest
-        load, ties to the smallest slot index).
-        """
-        assert self._platform is not None
-        limit = 2.0 * lam
-        cpu_loads = [(load, slot) for slot, load in enumerate(cpu_init)]
-        gpu_loads = [(load, slot) for slot, load in enumerate(gpu_init)]
-        heapq.heapify(cpu_loads)
-        heapq.heapify(gpu_loads)
-        has_cpu = bool(cpu_loads)
-        has_gpu = bool(gpu_loads)
-        assignment: dict[Task, ResourceKind] = {}
-        cpu_overflow: list[Task] = []
-
-        def pack(loads: list[tuple[float, int]], duration: float) -> bool:
-            load, slot = loads[0]
-            if load + duration <= limit:
-                heapq.heapreplace(loads, (load + duration, slot))
-                return True
+    Mirrors :func:`repro.schedulers.dualhp.dualhp_try` but only decides
+    the class split (the runtime decides actual workers), starting from
+    the class loads of running work.  *triples* are the pool's
+    ``(position, p, q)`` in acceleration order; *cpus* and *gpus* are
+    heaps of class loads, copied here.  Which worker of a class takes a
+    task never changes the class's multiset of loads, so plain loads
+    decide exactly what ``(load, index)`` heaps would.  With *on_gpu*,
+    the positions placed on a GPU are flagged.
+    """
+    limit = 2.0 * lam
+    cpus = cpus[:]
+    gpus = gpus[:]
+    replace = heapq.heapreplace
+    overflow: list[float] = []
+    for k, p, q in triples:
+        if p > lam:
+            if q > lam or not gpus:
+                return False
+            end = gpus[0] + q
+            if not end <= limit:
+                return False
+            replace(gpus, end)
+            if on_gpu is not None:
+                on_gpu[k] = True
+        elif q > lam:
+            if not cpus:
+                return False
+            end = cpus[0] + p
+            if not end <= limit:
+                return False
+            replace(cpus, end)
+        else:
+            if gpus:
+                end = gpus[0] + q
+                if end <= limit:
+                    replace(gpus, end)
+                    if on_gpu is not None:
+                        on_gpu[k] = True
+                    continue
+            overflow.append(p)
+    if overflow and not cpus:
+        return False
+    for p in overflow:
+        end = cpus[0] + p
+        if not end <= limit:
             return False
-
-        for task in tasks_by_rho:
-            forced_gpu = task.cpu_time > lam
-            forced_cpu = task.gpu_time > lam
-            if forced_gpu and forced_cpu:
-                return None
-            if forced_gpu:
-                if not (has_gpu and pack(gpu_loads, task.gpu_time)):
-                    return None
-                assignment[task] = ResourceKind.GPU
-            elif forced_cpu:
-                if not (has_cpu and pack(cpu_loads, task.cpu_time)):
-                    return None
-                assignment[task] = ResourceKind.CPU
-            else:
-                if has_gpu and pack(gpu_loads, task.gpu_time):
-                    assignment[task] = ResourceKind.GPU
-                else:
-                    cpu_overflow.append(task)
-        for task in cpu_overflow:
-            if not (has_cpu and pack(cpu_loads, task.cpu_time)):
-                return None
-            assignment[task] = ResourceKind.CPU
-        return assignment
+        replace(cpus, end)
+    return True

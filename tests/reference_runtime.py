@@ -12,6 +12,10 @@ bump.
 
 Do not "fix" or optimise this module: its only job is to stay identical
 to the pre-PR behaviour.
+
+The DualHP section keeps the offline and online DualHP searches as
+they stood before they became feasibility-only;
+``tests/test_dualhp_oracle.py`` compares the live searches against it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
+from repro.bounds.simple import makespan_lower_bound
 from repro.core.heteroprio import _queue_key, sorted_queue
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
@@ -41,6 +46,9 @@ __all__ = [
     "ReferenceBucketHeteroPrioPolicy",
     "reference_simulate",
     "reference_independent_heteroprio",
+    "ReferenceDualHPPolicy",
+    "reference_dualhp_try",
+    "reference_dualhp_schedule",
 ]
 
 
@@ -400,3 +408,340 @@ def reference_independent_heteroprio(
             settle(time)
 
     return schedule, n_spoliations
+
+
+# -- DualHP (pre feasibility-only search) --------------------------------------
+#
+# Verbatim snapshots of ``repro.schedulers.dualhp`` (``dualhp_try``,
+# ``dualhp_schedule``) and ``repro.schedulers.online.dualhp``
+# (``DualHPPolicy``) as they stood before the lambda searches became
+# feasibility-only.  ``tests/test_dualhp_oracle.py`` compares the live
+# offline, online and lockstep searches against them.
+
+#: Relative precision of the offline binary search on ``lambda``.
+REFERENCE_SEARCH_RTOL = 1e-9
+
+#: Relative precision of the online binary search.
+REFERENCE_ONLINE_RTOL = 1e-3
+
+
+@dataclass
+class ReferenceDualHPResult:
+    """Outcome of DualHP: the schedule and the accepted guess."""
+
+    schedule: Schedule
+    lam: float
+
+    @property
+    def makespan(self) -> float:
+        return self.schedule.makespan
+
+
+def _reference_pack_class(
+    tasks: list[Task],
+    loads: dict[Worker, float],
+    kind: ResourceKind,
+    limit: float,
+) -> list[Task]:
+    """Greedy least-loaded packing; returns tasks that would exceed *limit*.
+
+    Tasks are attempted in the given order; each either lands on the
+    least-loaded worker of the class or is returned as an overflow.
+    """
+    overflow: list[Task] = []
+    for task in tasks:
+        worker = min(loads, key=lambda w: (loads[w], w.index))
+        duration = task.time_on(kind)
+        if loads[worker] + duration <= limit:
+            loads[worker] += duration
+        else:
+            overflow.append(task)
+    return overflow
+
+
+def reference_dualhp_try(
+    instance: Instance,
+    platform: Platform,
+    lam: float,
+    *,
+    initial_loads: dict[Worker, float] | None = None,
+) -> Schedule | None:
+    """One dual-approximation round: a ``<= 2*lam`` schedule, or ``None``.
+
+    ``initial_loads`` lets the online DAG adaptation account for work
+    already running on each worker (Section 6.2).
+    """
+    limit = 2.0 * lam
+    cpu_loads = {w: 0.0 for w in platform.workers(ResourceKind.CPU)}
+    gpu_loads = {w: 0.0 for w in platform.workers(ResourceKind.GPU)}
+    if initial_loads:
+        for worker, load in initial_loads.items():
+            target = cpu_loads if worker.kind is ResourceKind.CPU else gpu_loads
+            if worker in target:
+                target[worker] = load
+
+    forced_cpu: list[Task] = []
+    forced_gpu: list[Task] = []
+    optional: list[Task] = []
+    for task in instance:
+        too_long_cpu = task.cpu_time > lam
+        too_long_gpu = task.gpu_time > lam
+        if too_long_cpu and too_long_gpu:
+            return None
+        if too_long_cpu:
+            forced_gpu.append(task)
+        elif too_long_gpu:
+            forced_cpu.append(task)
+        else:
+            optional.append(task)
+
+    if forced_gpu and not gpu_loads:
+        return None
+    if forced_cpu and not cpu_loads:
+        return None
+
+    # Priority first inside each phase; acceleration governs the split.
+    by_priority = lambda t: (-t.priority, t.uid)  # noqa: E731
+    forced_gpu.sort(key=by_priority)
+    forced_cpu.sort(key=by_priority)
+    optional.sort(key=lambda t: (-t.acceleration, -t.priority, t.uid))
+
+    assignment: dict[Task, ResourceKind] = {}
+    if _reference_pack_class(forced_gpu, gpu_loads, ResourceKind.GPU, limit):
+        return None
+    if _reference_pack_class(forced_cpu, cpu_loads, ResourceKind.CPU, limit):
+        return None
+    for task in forced_gpu:
+        assignment[task] = ResourceKind.GPU
+    for task in forced_cpu:
+        assignment[task] = ResourceKind.CPU
+
+    if gpu_loads:
+        leftover = _reference_pack_class(optional, gpu_loads, ResourceKind.GPU, limit)
+    else:
+        leftover = list(optional)
+    leftover_set = set(leftover)
+    placed_on_gpu = [t for t in optional if t not in leftover_set]
+    for task in placed_on_gpu:
+        assignment[task] = ResourceKind.GPU
+    if not cpu_loads and leftover:
+        return None
+    leftover.sort(key=by_priority)
+    if _reference_pack_class(leftover, cpu_loads, ResourceKind.CPU, limit):
+        return None
+    for task in leftover:
+        assignment[task] = ResourceKind.CPU
+
+    # Materialise the schedule by replaying the packing per class.
+    schedule = Schedule(platform)
+    replay_loads: dict[Worker, float] = {}
+    for worker in platform.workers():
+        replay_loads[worker] = (initial_loads or {}).get(worker, 0.0)
+    ordered = (
+        forced_gpu
+        + forced_cpu
+        + [t for t in optional if assignment[t] is ResourceKind.GPU]
+        + leftover
+    )
+    for task in ordered:
+        kind = assignment[task]
+        candidates = {w: replay_loads[w] for w in platform.workers(kind)}
+        worker = min(candidates, key=lambda w: (candidates[w], w.index))
+        schedule.add(task, worker, replay_loads[worker])
+        replay_loads[worker] += task.time_on(kind)
+    return schedule
+
+
+def reference_dualhp_schedule(
+    instance: Instance,
+    platform: Platform,
+    *,
+    rtol: float = REFERENCE_SEARCH_RTOL,
+) -> ReferenceDualHPResult:
+    """Binary search on ``lambda`` down to relative precision *rtol*."""
+    if len(instance) == 0:
+        return ReferenceDualHPResult(schedule=Schedule(platform), lam=0.0)
+    lo = makespan_lower_bound(instance, platform) / 2.0
+    hi = max(
+        makespan_lower_bound(instance, platform),
+        instance.total_cpu_work() / max(platform.num_cpus, 1)
+        if platform.num_cpus
+        else 0.0,
+        instance.total_gpu_work() / max(platform.num_gpus, 1)
+        if platform.num_gpus
+        else 0.0,
+        max(t.min_time() for t in instance),
+    )
+    best = reference_dualhp_try(instance, platform, hi)
+    while best is None:  # enlarge until feasible (degenerate platforms)
+        hi *= 2.0
+        best = reference_dualhp_try(instance, platform, hi)
+    best_lam = hi
+    while hi - lo > rtol * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        trial = reference_dualhp_try(instance, platform, mid)
+        if trial is None:
+            lo = mid
+        else:
+            hi = mid
+            best, best_lam = trial, mid
+    return ReferenceDualHPResult(schedule=best, lam=best_lam)
+
+
+class ReferenceDualHPPolicy(OnlinePolicy):
+    """Pre-optimisation ``DualHPPolicy``: per-guess assignment dicts and closures."""
+
+    name = "dualhp"
+
+    def __init__(self) -> None:
+        self._platform: Platform | None = None
+        self._pool: dict[Task, int] = {}  # task -> arrival index
+        self._arrival = itertools.count()
+        self._dirty = True
+        self._class_queues: dict[ResourceKind, list[Task]] = {
+            ResourceKind.CPU: [],
+            ResourceKind.GPU: [],
+        }
+
+    def prepare(self, platform: Platform) -> None:
+        self._platform = platform
+        self._pool = {}
+        self._arrival = itertools.count()
+        self._dirty = True
+        self._class_queues = {ResourceKind.CPU: [], ResourceKind.GPU: []}
+
+    def tasks_ready(self, tasks: Sequence[Task], time: float) -> None:
+        for task in tasks:
+            self._pool[task] = next(self._arrival)
+        if tasks:
+            self._dirty = True
+
+    def pick(
+        self,
+        worker: Worker,
+        time: float,
+        running: Mapping[Worker, RunningView],
+    ) -> Action | None:
+        if self._dirty:
+            self._reassign(time, running)
+        queue = self._class_queues[worker.kind]
+        if queue:
+            task = queue.pop()
+            del self._pool[task]
+            return StartTask(task)
+        return None
+
+    # -- assignment ------------------------------------------------------------
+
+    def _reassign(self, time: float, running: Mapping[Worker, RunningView]) -> None:
+        """Binary-search the smallest feasible guess and split the pool."""
+        assert self._platform is not None
+        platform = self._platform
+        tasks = sorted(
+            self._pool,
+            key=lambda t: (-t.acceleration, -t.priority, self._pool[t]),
+        )
+        cpu_init = [0.0] * platform.num_cpus
+        gpu_init = [0.0] * platform.num_gpus
+        # repro-lint: disable=unordered-iteration -- each Worker key occurs
+        # once, so every slot receives exactly one += and the per-queue
+        # sorts below are independent; iteration order is immaterial.
+        for view in running.values():
+            remaining = max(view.end - time, 0.0)
+            if view.worker.kind is ResourceKind.CPU:
+                cpu_init[view.worker.index] += remaining
+            else:
+                gpu_init[view.worker.index] += remaining
+        self._dirty = False
+        if not tasks:
+            self._class_queues = {ResourceKind.CPU: [], ResourceKind.GPU: []}
+            return
+
+        base = max(max(cpu_init, default=0.0), max(gpu_init, default=0.0))
+        hi = base + max(
+            sum(t.min_time() for t in tasks),
+            max(t.min_time() for t in tasks),
+        )
+        assignment = self._try(tasks, hi, cpu_init, gpu_init)
+        while assignment is None:  # pragma: no cover - hi is always feasible
+            hi *= 2.0
+            assignment = self._try(tasks, hi, cpu_init, gpu_init)
+        lo = 0.0
+        while hi - lo > REFERENCE_ONLINE_RTOL * hi:
+            mid = 0.5 * (lo + hi)
+            trial = self._try(tasks, mid, cpu_init, gpu_init)
+            if trial is None:
+                lo = mid
+            else:
+                hi = mid
+                assignment = trial
+        queues: dict[ResourceKind, list[Task]] = {
+            ResourceKind.CPU: [],
+            ResourceKind.GPU: [],
+        }
+        for task, kind in assignment.items():
+            queues[kind].append(task)
+        # Workers pop from the tail: lowest (priority, arrival) last.
+        for queue in queues.values():
+            queue.sort(key=lambda t: (t.priority, -self._pool[t]))
+        self._class_queues = queues
+
+    def _try(
+        self,
+        tasks_by_rho: list[Task],
+        lam: float,
+        cpu_init: list[float],
+        gpu_init: list[float],
+    ) -> dict[Task, ResourceKind] | None:
+        """One dual round on the pool; ``None`` when *lam* is infeasible.
+
+        Mirrors :func:`repro.schedulers.dualhp.dualhp_try` but only
+        yields the class split (the runtime decides actual workers), and
+        accounts for the initial class loads of running work.
+
+        Class loads are kept in binary heaps of ``(load, slot)`` so each
+        pack is O(log m) instead of a linear argmin over the class; the
+        heap minimum is the exact element the old scan chose (smallest
+        load, ties to the smallest slot index).
+        """
+        assert self._platform is not None
+        limit = 2.0 * lam
+        cpu_loads = [(load, slot) for slot, load in enumerate(cpu_init)]
+        gpu_loads = [(load, slot) for slot, load in enumerate(gpu_init)]
+        heapq.heapify(cpu_loads)
+        heapq.heapify(gpu_loads)
+        has_cpu = bool(cpu_loads)
+        has_gpu = bool(gpu_loads)
+        assignment: dict[Task, ResourceKind] = {}
+        cpu_overflow: list[Task] = []
+
+        def pack(loads: list[tuple[float, int]], duration: float) -> bool:
+            load, slot = loads[0]
+            if load + duration <= limit:
+                heapq.heapreplace(loads, (load + duration, slot))
+                return True
+            return False
+
+        for task in tasks_by_rho:
+            forced_gpu = task.cpu_time > lam
+            forced_cpu = task.gpu_time > lam
+            if forced_gpu and forced_cpu:
+                return None
+            if forced_gpu:
+                if not (has_gpu and pack(gpu_loads, task.gpu_time)):
+                    return None
+                assignment[task] = ResourceKind.GPU
+            elif forced_cpu:
+                if not (has_cpu and pack(cpu_loads, task.cpu_time)):
+                    return None
+                assignment[task] = ResourceKind.CPU
+            else:
+                if has_gpu and pack(gpu_loads, task.gpu_time):
+                    assignment[task] = ResourceKind.GPU
+                else:
+                    cpu_overflow.append(task)
+        for task in cpu_overflow:
+            if not (has_cpu and pack(cpu_loads, task.cpu_time)):
+                return None
+            assignment[task] = ResourceKind.CPU
+        return assignment

@@ -23,7 +23,13 @@ from repro.campaign.backends import (
     run_work_stealing,
 )
 from repro.campaign.cache import encode_value
-from repro.campaign.executor import MIN_BATCH, execute_unit, plan_units
+from repro.campaign.executor import (
+    DUALHP_CROSSOVER,
+    MIN_BATCH,
+    execute_unit,
+    plan_batches,
+    plan_units,
+)
 
 
 def canon(metrics: dict) -> str:
@@ -106,6 +112,51 @@ class TestPlanUnits:
         assert fallback_small == 2
         seen = sorted(i for u in units for i in u.indices)
         assert seen == list(range(len(specs)))
+
+    def test_independent_dualhp_batches_only_from_the_crossover(self):
+        def sweep(algorithm: str, rows: int) -> list[InstanceSpec]:
+            return [
+                InstanceSpec(
+                    workload="layered", size=3, algorithm=algorithm,
+                    mode="independent", bound="area", seed=seed,
+                )
+                for seed in range(rows)
+            ]
+
+        # A serve-sized group of four seeds takes the scalar search.
+        small = sweep("dualhp", 4)
+        units, fallback_policy, fallback_small = plan_units(small)
+        assert not any(u.batched for u in units)
+        assert (fallback_policy, fallback_small) == ({}, 4)
+        assert plan_batches(small) == []
+        # A crossover-sized group is one batch unit.
+        full = sweep("dualhp", DUALHP_CROSSOVER)
+        units, _, fallback_small = plan_units(full)
+        assert [(u.indices, u.batched) for u in units] == [
+            (tuple(range(DUALHP_CROSSOVER)), True)
+        ]
+        assert fallback_small == 0
+        assert plan_batches(full) == [list(range(DUALHP_CROSSOVER))]
+        # The caller's min_batch still applies on top of the crossover.
+        units, _, fallback_small = plan_units(full, min_batch=DUALHP_CROSSOVER + 1)
+        assert not any(u.batched for u in units)
+        assert fallback_small == DUALHP_CROSSOVER
+        # HeteroPrio and HEFT groups keep batching from MIN_BATCH rows.
+        for algorithm in ("heteroprio", "heft"):
+            group = sweep(algorithm, MIN_BATCH)
+            units, _, fallback_small = plan_units(group)
+            assert [(u.indices, u.batched) for u in units] == [
+                (tuple(range(MIN_BATCH)), True)
+            ], algorithm
+            assert fallback_small == 0
+            assert plan_batches(group) == [list(range(MIN_BATCH))]
+        # DAG-mode DualHP rows sharing one graph are not affected.
+        dag = [
+            InstanceSpec(workload="qr", size=4, algorithm=f"dualhp-{scheme}")
+            for scheme in ("avg", "min", "fifo")
+        ]
+        units, _, fallback_small = plan_units(dag, min_batch=2)
+        assert [(u.indices, u.batched) for u in units] == [((0, 1, 2), True)]
 
     def test_batch_off_counts_nothing(self):
         units, fallback_policy, fallback_small = plan_units(
