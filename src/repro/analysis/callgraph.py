@@ -42,7 +42,6 @@ __all__ = [
     "Reachability",
     "build_model",
     "clear_model_caches",
-    "module_import_closure",
 ]
 
 #: Scope id of a module's top-level code (imports, constant tables,
@@ -104,8 +103,6 @@ class ModuleModel:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Class name -> method qualnames defined on it.
     classes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Module rels this module imports (full graph, __init__ included).
-    import_edges: Tuple[str, ...] = ()
     #: scope id (fid or MODULE_SCOPE) -> resolved call edges.
     calls: Dict[str, Tuple[CallEdge, ...]] = field(default_factory=dict)
     #: scope id -> unresolved external calls.
@@ -170,7 +167,6 @@ class _ParsedModule:
     bindings: Dict[str, str]
     functions: Dict[str, FunctionInfo]
     classes: Dict[str, Tuple[str, ...]]
-    raw_imports: Tuple[Tuple[str, Tuple[str, ...]], ...]  # (dotted, from-names)
 
 
 def _iter_module_files(src_root: Path) -> Iterable[Path]:
@@ -189,22 +185,16 @@ def _dotted_of(rel: str) -> str:
     return trimmed.replace("/", ".")
 
 
-def _collect_imports(
-    tree: ast.Module, rel: str
-) -> Tuple[Dict[str, str], Tuple[Tuple[str, Tuple[str, ...]], ...]]:
-    """Local bindings + raw import records of one module.
+def _collect_imports(tree: ast.Module, rel: str) -> Dict[str, str]:
+    """Local bindings of one module's imports.
 
-    Bindings map local names to absolute dotted targets; raw records
-    keep ``(module dotted, from-names)`` pairs for the import graph
-    (``()`` names for plain ``import``).  Relative imports resolve
-    against *rel*'s package, matching runtime semantics.
+    Bindings map local names to absolute dotted targets.  Relative
+    imports resolve against *rel*'s package, matching runtime semantics.
     """
     bindings: Dict[str, str] = {}
-    raw: List[Tuple[str, Tuple[str, ...]]] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                raw.append((alias.name, ()))
                 if alias.asname:
                     bindings[alias.asname] = alias.name
                 else:
@@ -219,13 +209,11 @@ def _collect_imports(
                 dotted = node.module or ""
             if not dotted:
                 continue
-            names = tuple(a.name for a in node.names if a.name != "*")
-            raw.append((dotted, names))
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 bindings[alias.asname or alias.name] = f"{dotted}.{alias.name}"
-    return bindings, tuple(raw)
+    return bindings
 
 
 def _collect_defs(
@@ -266,7 +254,7 @@ def _parse_module(path: Path, rel: str) -> _ParsedModule | None:
         tree = ast.parse(source, filename=rel)
     except (OSError, SyntaxError):
         return None
-    bindings, raw_imports = _collect_imports(tree, rel)
+    bindings = _collect_imports(tree, rel)
     functions, classes = _collect_defs(tree, rel)
     return _ParsedModule(
         rel=rel,
@@ -276,7 +264,6 @@ def _parse_module(path: Path, rel: str) -> _ParsedModule | None:
         bindings=bindings,
         functions=functions,
         classes=classes,
-        raw_imports=raw_imports,
     )
 
 
@@ -296,9 +283,6 @@ class _Resolver:
             self._by_dotted[_dotted_of(rel)] = rel
         # Packages with an __init__ shadow the bare dotted name; a
         # plain directory without __init__ still anchors submodules.
-
-    def module_rel(self, dotted: str) -> str | None:
-        return self._by_dotted.get(dotted)
 
     def resolve(self, dotted: str, depth: int = 0) -> str | None:
         """Entity of *dotted*: ``"mod:<rel>"``, ``"fn:<fid>"``,
@@ -332,23 +316,6 @@ class _Resolver:
         if bound is not None:
             return self.resolve(bound, depth + 1)
         return None
-
-
-def _import_edges(
-    parsed: _ParsedModule, resolver: _Resolver
-) -> Tuple[str, ...]:
-    """Module rels *parsed* imports — submodule bindings included."""
-    edges: Set[str] = set()
-    for dotted, names in parsed.raw_imports:
-        rel = resolver.module_rel(dotted)
-        if rel is not None:
-            edges.add(rel)
-        for name in names:
-            sub = resolver.module_rel(f"{dotted}.{name}")
-            if sub is not None:
-                edges.add(sub)
-    edges.discard(parsed.rel)
-    return tuple(sorted(edges))
 
 
 # -- per-scope call/ref extraction --------------------------------------------
@@ -567,7 +534,6 @@ def build_model(src_root: str | Path) -> ProgramModel:
             bindings=stage1.bindings,
             functions=stage1.functions,
             classes=stage1.classes,
-            import_edges=_import_edges(stage1, resolver),
             calls=calls,
             external_calls=external,
             refs=refs,
@@ -577,26 +543,6 @@ def build_model(src_root: str | Path) -> ProgramModel:
         for info in stage1.functions.values():
             functions[info.fid] = info
     return ProgramModel(src_root=src_root, modules=modules, functions=functions)
-
-
-def module_import_closure(
-    model: ProgramModel, roots: Iterable[str]
-) -> FrozenSet[str]:
-    """Transitive import closure of *roots* over the **full** graph.
-
-    Unlike :func:`repro.campaign.salts.import_graph` this follows edges
-    out of ``__init__`` re-export hubs — the conservative view an
-    execution-coverage check needs.
-    """
-    seen: Set[str] = set()
-    stack = [rel for rel in roots if rel in model.modules]
-    while stack:
-        rel = stack.pop()
-        if rel in seen:
-            continue
-        seen.add(rel)
-        stack.extend(model.modules[rel].import_edges)
-    return frozenset(seen)
 
 
 # -- reachability -------------------------------------------------------------

@@ -1,41 +1,38 @@
 """Cache-salt fingerprint gate: normalized-AST hashes of salted modules.
 
 The campaign :class:`~repro.campaign.cache.ResultCache` and
-:class:`~repro.campaign.graph_store.GraphStore` key every entry with
-:data:`~repro.campaign.spec.CODE_VERSION`.  The contract is social: a
-semantic change to any module those keys depend on must bump the
-version, or every previously cached result is silently wrong.  This
-module makes the contract mechanical:
+:class:`~repro.campaign.graph_store.GraphStore` key every entry with a
+per-spec closure salt (:mod:`repro.campaign.salts`): the base
+:data:`~repro.campaign.spec.CODE_VERSION` digested together with the
+fingerprints of the modules that spec's execution can reach.  This
+module supplies those fingerprints and keeps the committed record of
+them honest:
 
 * :func:`normalized_fingerprint` hashes one module's AST with
   docstrings dropped and line/column attributes excluded — comment
   edits, reformatting, docstring rewrites and moved code keep the same
   fingerprint; any change visible to the interpreter changes it;
-* :func:`compute_fingerprints` does that for every module under the
-  salted packages (:data:`SALTED_PACKAGES`);
+* :func:`scan_salted_modules` parses every module under the salted
+  packages (:data:`SALTED_PACKAGES`) once and returns both its
+  fingerprint and its salted import edges — the closure salts and the
+  gate share this one walker (:func:`compute_fingerprints` is its
+  fingerprint half);
 * the committed manifest ``analysis/fingerprints.json`` records the
   fingerprints the tree currently ships;
 * :func:`check_gate` fails when fingerprints drift without the
   manifest being regenerated, when ``CODE_VERSION`` moved but the
-  manifest was not re-minted, or when modules appeared/disappeared
-  unrecorded.
+  manifest was not re-minted, when modules appeared/disappeared
+  unrecorded, or when a :data:`SALTED_PACKAGES` entry has no modules
+  at all (a renamed package that nothing would salt).
 
-Since PR 8 the cache keys are **per-module**: each spec's salt digests
-the fingerprint closure of the modules it executes
-(:mod:`repro.campaign.salts`), so a semantic edit re-keys exactly the
-affected entries on its own — no ``CODE_VERSION`` bump required.  The
-gate's job is now bookkeeping + shim safety: the committed manifest
-must always match the tree (drift still fails CI until regenerated),
-and the *frozen* snapshot ``analysis/legacy_fingerprints.json`` — which
-anchors the legacy-entry migration shim — must never be regenerated by
-tooling.  ``repro lint --cache-gate`` additionally validates the
-curated salt-root tables
-(:func:`repro.campaign.salts.check_salt_coverage`).
+A semantic edit re-keys exactly the affected cache entries on its own —
+no ``CODE_VERSION`` bump required; the gate's job is bookkeeping: the
+committed manifest must always match the tree (drift fails CI until
+regenerated, so reviewers see which modules' entries were re-keyed).
 
-Regenerate the rolling manifest with ``repro lint
---write-fingerprints``; bump ``CODE_VERSION`` only to invalidate the
-whole cache deliberately (e.g. a change below the fingerprinted
-surface, like a numpy pin).
+Regenerate the manifest with ``repro lint --write-fingerprints``; bump
+``CODE_VERSION`` only to invalidate the whole cache deliberately (e.g.
+a change below the fingerprinted surface, like a numpy pin).
 
 Note the gate is deliberately conservative: type-annotation changes are
 part of the AST (annotations can carry runtime semantics, e.g. in
@@ -49,7 +46,7 @@ import ast
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List
+from typing import AbstractSet, Dict, Iterator, List, Set, Tuple
 
 from repro.io import canonical_dumps
 
@@ -57,6 +54,7 @@ __all__ = [
     "SALTED_PACKAGES",
     "MANIFEST_PATH",
     "normalized_fingerprint",
+    "scan_salted_modules",
     "compute_fingerprints",
     "load_manifest",
     "write_manifest",
@@ -91,6 +89,13 @@ def _strip_docstrings(tree: ast.Module) -> ast.Module:
     return tree
 
 
+def _tree_fingerprint(tree: ast.Module) -> str:
+    dump = ast.dump(
+        _strip_docstrings(tree), annotate_fields=True, include_attributes=False
+    )
+    return hashlib.sha256(dump.encode("utf-8")).hexdigest()
+
+
 def normalized_fingerprint(source: str) -> str:
     """SHA-256 of the docstring-stripped, position-free AST of *source*.
 
@@ -98,31 +103,82 @@ def normalized_fingerprint(source: str) -> str:
     abstract syntax once docstrings are removed — whitespace, comments,
     line numbers and string quoting style never matter.
     """
-    tree = _strip_docstrings(ast.parse(source))
-    dump = ast.dump(tree, annotate_fields=True, include_attributes=False)
-    return hashlib.sha256(dump.encode("utf-8")).hexdigest()
+    return _tree_fingerprint(ast.parse(source))
 
 
-def compute_fingerprints(src_root: str | Path) -> Dict[str, str]:
-    """Fingerprints of every salted module under *src_root* (``src/``).
+def _resolve_import(
+    node: ast.Import | ast.ImportFrom, rel: str, modules: AbstractSet[str]
+) -> Iterator[str]:
+    """Salted-module targets of one import statement in module *rel*."""
+
+    def candidates(dotted: str) -> Iterator[str]:
+        base = dotted.replace(".", "/")
+        for target in (f"{base}.py", f"{base}/__init__.py"):
+            if target in modules:
+                yield target
+
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield from candidates(alias.name)
+        return
+    if node.level:  # relative import: resolve against rel's package
+        package_parts = rel.split("/")[:-1]
+        anchor = package_parts[: len(package_parts) - (node.level - 1)]
+        prefix = ".".join(anchor)
+        dotted = f"{prefix}.{node.module}" if node.module else prefix
+    else:
+        dotted = node.module or ""
+    if not dotted:
+        return
+    yield from candidates(dotted)
+    # `from repro.x import y` may bind the submodule y, not an attribute.
+    for alias in node.names:
+        yield from candidates(f"{dotted}.{alias.name}")
+
+
+def scan_salted_modules(
+    src_root: str | Path,
+) -> Tuple[Dict[str, str], Dict[str, Tuple[str, ...]]]:
+    """``(fingerprints, import_edges)`` of every salted module, one parse each.
 
     Keys are ``src``-relative posix paths (``repro/core/task.py``), so
     the manifest is stable against checkout location.
+    ``import_edges[rel]`` lists the salted modules *rel* imports anywhere
+    in its body — including function-local imports (``ast.walk`` sees
+    nested statements), so lazily imported dependencies like
+    ``core/heteroprio.py``'s ready-queue import are captured.  Edges
+    out of ``__init__.py`` modules are dropped: package inits are
+    re-export hubs (``schedulers/online/__init__`` imports all four
+    policies), and following them would put every policy in every
+    closure.
     """
     src_root = Path(src_root)
-    fingerprints: Dict[str, str] = {}
+    paths: Dict[str, Path] = {}
     for package in SALTED_PACKAGES:
         base = src_root / "repro" / package
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*.py")):
-            if "__pycache__" in path.parts:
-                continue
-            rel = path.relative_to(src_root).as_posix()
-            fingerprints[rel] = normalized_fingerprint(
-                path.read_text(encoding="utf-8")
-            )
-    return fingerprints
+            if "__pycache__" not in path.parts:
+                paths[path.relative_to(src_root).as_posix()] = path
+    fingerprints: Dict[str, str] = {}
+    edges: Dict[str, Tuple[str, ...]] = {}
+    for rel, path in paths.items():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        targets: Set[str] = set()
+        if not rel.endswith("__init__.py"):
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    targets.update(_resolve_import(node, rel, paths.keys()))
+            targets.discard(rel)
+        edges[rel] = tuple(sorted(targets))
+        fingerprints[rel] = _tree_fingerprint(tree)
+    return fingerprints, edges
+
+
+def compute_fingerprints(src_root: str | Path) -> Dict[str, str]:
+    """Fingerprints of every salted module under *src_root* (``src/``)."""
+    return scan_salted_modules(src_root)[0]
 
 
 def load_manifest(path: str | Path) -> Dict[str, object] | None:
@@ -168,7 +224,9 @@ def check_gate(
       (and so reviewers see which modules' entries were re-keyed);
     * ``CODE_VERSION`` moved but the manifest still records the old
       version — regeneration was forgotten;
-    * salted modules added/removed without regenerating.
+    * salted modules added/removed without regenerating;
+    * a :data:`SALTED_PACKAGES` entry with no modules in the tree (a
+      renamed package would otherwise go unsalted, silently).
     """
     if manifest is None:
         return [
@@ -196,8 +254,7 @@ def check_gate(
             "affected cache entries automatically (no CODE_VERSION bump "
             "needed), but the committed manifest no longer describes the "
             "tree.  Run 'repro lint --write-fingerprints' and commit the "
-            "result.  Never regenerate analysis/legacy_fingerprints.json — "
-            "the frozen snapshot anchors the legacy-entry migration shim."
+            "result."
         )
     if recorded_version != code_version:
         failures.append(
@@ -217,4 +274,10 @@ def check_gate(
             + ") — run 'repro lint --write-fingerprints' to record it "
             "(no CODE_VERSION bump needed unless behaviour changed)."
         )
+    failures.extend(
+        f"salted package {package!r} has no modules under src — "
+        "SALTED_PACKAGES and the tree disagree, so nothing salts it."
+        for package in SALTED_PACKAGES
+        if not any(rel.startswith(f"repro/{package}/") for rel in current)
+    )
     return failures

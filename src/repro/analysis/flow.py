@@ -13,12 +13,12 @@ fixpoint proves flow to a return value or into a ``.put()`` cache
 store.  Findings anchor at the *source* (that is where the fix — or
 the justification — lives) and carry the interprocedural trace.
 
-**Salt-closure verification** (``flow-salt-coverage``) — the curated
-root tables in :mod:`repro.campaign.salts` become a checked invariant:
-every curated root must lie inside the import closure of the execution
-cone (no stale roots), and every salted module that actually hosts
-reachable functions must be covered by the curated roots' dependency
-closure (no scheduler slips into execution without salt coverage).
+**Salt-closure verification** (``flow-salt-coverage``) — every salted
+module that hosts functions reachable from the execution entries must
+lie inside the dependency closure of the salt roots the executor
+derives from its own dispatch
+(:func:`repro.campaign.executor.dispatch_roots`), so no scheduler
+slips into execution without salt coverage.
 
 **Concurrency lint pack** — ``async-blocking`` (blocking calls on the
 event loop, directly in an ``async def`` or through a bounded chain of
@@ -38,13 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import (
-    ProgramModel,
-    Reachability,
-    build_model,
-    module_import_closure,
-    reach,
-)
+from repro.analysis.callgraph import ProgramModel, Reachability, build_model, reach
 from repro.analysis.fingerprint import SALTED_PACKAGES
 from repro.analysis.lint import Suppression, parse_suppressions
 from repro.analysis.rules import FLOW_RULES, FlowRuleInfo
@@ -344,51 +338,29 @@ def _check_determinism(
 
 
 def _check_salt_closure(
-    model: ProgramModel,
     cone: Reachability,
     collector: _Collector,
-    curated: Mapping[str, Tuple[str, ...]] | None,
+    roots: Iterable[str] | None,
 ) -> None:
-    # Imported lazily: campaign.salts pulls the campaign package in,
-    # which has no business loading for the pure lint paths.
+    # Imported lazily: the campaign package has no business loading for
+    # the pure lint paths.
     from repro.campaign import salts
+    from repro.campaign.executor import dispatch_roots
 
-    curated_map = dict(salts.curated_root_modules() if curated is None else curated)
-    curated_all = sorted({rel for table in curated_map.values() for rel in table})
-
+    covered = set(
+        salts.dependency_closure(dispatch_roots() if roots is None else roots)
+    )
     salted_prefixes = tuple(f"repro/{pkg}/" for pkg in SALTED_PACKAGES)
-    entry_modules = {fid.split("::", 1)[0] for fid in cone.entries}
-    func_modules = set(cone.modules()) | entry_modules
-    derived_wide = {
-        rel
-        for rel in module_import_closure(model, func_modules)
-        if rel.startswith(salted_prefixes)
-    }
-    derived_precise = {
-        rel for rel in cone.modules() if rel.startswith(salted_prefixes)
-    }
-
-    anchor = "repro/campaign/salts.py"
-    for root in curated_all:
-        if root not in derived_wide:
-            collector.emit(
-                "flow-salt-coverage",
-                anchor,
-                1,
-                f"curated salt root {root} is not reachable from the "
-                "campaign execution entries (stale table entry?)",
-            )
-
-    covered = set(salts.dependency_closure(curated_all))
-    for rel in sorted(derived_precise - covered):
+    executed = {rel for rel in cone.modules() if rel.startswith(salted_prefixes)}
+    for rel in sorted(executed - covered):
         collector.emit(
             "flow-salt-coverage",
-            anchor,
+            "repro/campaign/executor.py",
             1,
             f"module {rel} hosts functions reachable from the campaign "
-            "execution entries but lies outside every curated salt "
-            "closure — edits to it would not re-key affected cache "
-            "entries",
+            "execution entries but lies outside the salt closure of "
+            "every spec the executor dispatches — edits to it would not "
+            "re-key affected cache entries",
         )
 
 
@@ -504,13 +476,13 @@ def _check_mp_shared_sync(
 def analyze_tree(
     root: str | Path,
     *,
-    curated: Mapping[str, Tuple[str, ...]] | None = None,
+    roots: Iterable[str] | None = None,
     determinism_entries: Iterable[str] = DETERMINISM_ENTRIES,
     worker_entries: Iterable[str] = WORKER_ENTRIES,
 ) -> AnalysisReport:
     """Run every whole-program check over ``<root>/src/repro``.
 
-    *curated* overrides the salt root tables (tripwire-test seam);
+    *roots* overrides the executor's salt roots (tripwire-test seam);
     the entry tuples are overridable for the same reason.  Entries
     absent from the tree are ignored — an analysis of a fixture package
     simply has an empty cone for that check.
@@ -523,7 +495,7 @@ def analyze_tree(
     cone = reach(model, tuple(determinism_entries))
     _check_determinism(model, summaries, cone, collector)
     if cone.fids:
-        _check_salt_closure(model, cone, collector, curated)
+        _check_salt_closure(cone, collector, roots)
 
     _check_async_blocking(model, summaries, collector)
 

@@ -147,13 +147,15 @@ FLOW_RULES: Tuple[FlowRuleInfo, ...] = (
         rule_id="flow-salt-coverage",
         severity="error",
         description=(
-            "the execution closure derived from the call graph disagrees "
-            "with the curated salt roots in campaign/salts.py (stale root "
-            "or module executed without salt coverage)"
+            "a salted module hosts functions reachable from the campaign "
+            "execution entries but lies outside every salt closure the "
+            "executor derives from its dispatch (campaign/executor.py "
+            "spec_roots)"
         ),
         fix_hint=(
-            "add the module to the matching root table in "
-            "repro/campaign/salts.py (or delete the stale root)"
+            "call the code through a callable spec_roots reads (an "
+            "executor dispatch table or entry), or import its module from "
+            "a module that defines one"
         ),
     ),
     FlowRuleInfo(

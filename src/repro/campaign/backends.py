@@ -102,7 +102,6 @@ def _ws_worker(
     outq: Any,
     store_root: str | None,
     store_salt: str,
-    store_selective: bool,
 ) -> None:
     """Worker loop: pull a unit, execute, push the result; ``None`` stops.
 
@@ -113,7 +112,7 @@ def _ws_worker(
     from repro.campaign.executor import ensure_graph_store, execute_unit
 
     if store_root is not None:
-        ensure_graph_store(store_root, salt=store_salt, selective=store_selective)
+        ensure_graph_store(store_root, salt=store_salt)
     while True:
         unit = inq.get()
         if unit is None:
@@ -157,7 +156,6 @@ def run_work_stealing(
     jobs: int,
     store_root: str | None = None,
     store_salt: str = "",
-    store_selective: bool = True,
     counters: Dict[str, int] | None = None,
 ) -> Iterator[UnitResult]:
     """Execute *units* over the work-stealing fabric; yield results.
@@ -191,7 +189,7 @@ def run_work_stealing(
         procs = [
             ctx.Process(
                 target=_ws_worker,
-                args=(i, inqs[i], outq, store_root, store_salt, store_selective),
+                args=(i, inqs[i], outq, store_root, store_salt),
                 daemon=True,
             )
             for i in range(workers)

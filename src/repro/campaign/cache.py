@@ -18,16 +18,10 @@ Two tiers sit in front of the executor:
   :meth:`prune` drops the least-recently-used files first, ties broken
   by file name.
 
-**Selective salts** — with ``selective=True`` (the default) the
-effective salt of a spec is derived from the dependency closure of the
-modules its execution path reaches
+**Selective salts** — the effective salt of a spec is derived from the
+dependency closure of the modules its execution path reaches
 (:func:`repro.campaign.salts.salt_for_spec`), so editing one scheduler
-re-keys only the entries that executed it.  Entries written before this
-scheme (salt exactly the base ``CODE_VERSION``) are honoured by a
-**migration shim**: when a selective lookup misses but the spec's
-closure still fingerprints identically to the frozen snapshot in
-``analysis/legacy_fingerprints.json``, the legacy entry is served and
-promoted to its selective key (counted in ``stats.migrated``).
+re-keys only the entries that executed it.
 
 The payload stores the spec and its effective salt verbatim, and a read
 verifies both against the requester — a hash collision or a stale salt
@@ -49,7 +43,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.campaign.salts import closure_is_pristine, salt_for_spec, spec_roots
+from repro.campaign.salts import salt_for_spec
 from repro.campaign.spec import CODE_VERSION, InstanceSpec
 from repro.io import canonical_dumps
 
@@ -127,7 +121,6 @@ class CacheStats:
     puts: int = 0
     memory_evictions: int = 0
     disk_evictions: int = 0
-    migrated: int = 0
 
     def snapshot(self) -> "CacheStats":
         """A frozen copy (for before/after deltas around a campaign)."""
@@ -145,19 +138,14 @@ class ResultCache:
     root:
         Directory of the disk tier (created if missing).
     salt:
-        Base code-version salt.  With ``selective=True`` it is mixed
-        with each spec's module-closure digest into the effective salt;
-        with ``selective=False`` it is the effective salt verbatim (the
-        pre-PR-8 behaviour — also how legacy entries were written).
+        Base code-version salt, mixed with each spec's module-closure
+        digest into the effective salt (see module docstring).
     memory_entries:
         Memory-tier capacity in entries; ``0`` disables the tier.
     disk_cap_bytes:
         Soft cap on the disk tier.  Checked every
         :data:`PRUNE_CHECK_INTERVAL` puts (a full prune scans the tier),
         and enforceable on demand via :meth:`prune` / ``repro cache``.
-    selective:
-        Derive per-spec salts from module closures (see module
-        docstring) and honour the legacy-entry migration shim.
     """
 
     #: Puts between automatic cap checks (prune scans the whole tier,
@@ -171,13 +159,11 @@ class ResultCache:
         salt: str = CODE_VERSION,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         disk_cap_bytes: int | None = None,
-        selective: bool = True,
     ):
         self.root = Path(root)
         self.salt = salt
         self.memory_entries = max(0, int(memory_entries))
         self.disk_cap_bytes = disk_cap_bytes
-        self.selective = bool(selective)
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
         self._memory_lock = threading.Lock()
@@ -203,8 +189,6 @@ class ResultCache:
 
     def salt_for(self, spec: InstanceSpec) -> str:
         """The effective salt of *spec* under this cache."""
-        if not self.selective:
-            return self.salt
         return salt_for_spec(spec, base=self.salt)
 
     def key(self, spec: InstanceSpec) -> str:
@@ -267,11 +251,10 @@ class ResultCache:
     def get(self, spec: InstanceSpec) -> dict[str, Any] | None:
         """The stored entry for *spec*, or ``None`` on a miss.
 
-        Lookup order: memory tier, disk tier (read refreshes the LRU
-        mtime and feeds the memory tier), then — selective caches only —
-        the legacy global-salt entry via the migration shim.  Corrupt or
-        mismatched entries (wrong salt, wrong spec) count as misses
-        rather than errors; the executor recomputes and overwrites them.
+        Lookup order: memory tier, then disk tier (a read refreshes the
+        LRU mtime and feeds the memory tier).  Corrupt or mismatched
+        entries (wrong salt, wrong spec) count as misses rather than
+        errors; the executor recomputes and overwrites them.
         """
         effective = self.salt_for(spec)
         key = _spec_key(spec, effective)
@@ -289,36 +272,8 @@ class ResultCache:
                 pass
             self._memory_put(key, entry)
             return entry
-        entry = self._migrate_legacy(spec, effective)
-        if entry is not None:
-            self.stats.disk_hits += 1
-            self.stats.migrated += 1
-            return entry
         self.stats.misses += 1
         return None
-
-    def _migrate_legacy(
-        self, spec: InstanceSpec, effective: str
-    ) -> dict[str, Any] | None:
-        """Serve + promote a pre-selective entry when provably fresh.
-
-        A legacy entry (written under the plain base salt) is valid iff
-        every module in the spec's closure still fingerprints exactly as
-        frozen in ``analysis/legacy_fingerprints.json`` — byte-equivalent
-        code, so the stored result is what a recompute would produce.
-        """
-        if not self.selective or effective == self.salt:
-            return None
-        if not closure_is_pristine(spec_roots(spec), base=self.salt):
-            return None
-        legacy_key = _spec_key(spec, self.salt)
-        entry = self._load_disk(self._path(legacy_key), salt=self.salt, spec=spec)
-        if entry is None:
-            return None
-        # Promote: rewrite under the selective key (and into the memory
-        # tier) so the next lookup is a first-class hit.
-        self.put(spec, entry["metrics"], elapsed_s=float(entry.get("elapsed_s", 0.0)))
-        return entry
 
     def put(
         self,
@@ -448,11 +403,10 @@ class ResultCache:
     def gc(self) -> int:
         """Drop entries no longer readable under the current salts.
 
-        Keeps entries stored under their current effective salt, plus
-        legacy (base-salt) entries the migration shim still honours;
-        removes everything else — foreign salts, superseded closures,
-        corrupt files, entries filed under the wrong name.  Returns the
-        number of files removed.
+        Keeps entries stored under their current effective salt; removes
+        everything else — foreign salts, superseded closures, corrupt
+        files, entries filed under the wrong name.  Returns the number
+        of files removed.
         """
         removed = 0
         for path in list(self.iter_paths()):
@@ -483,13 +437,7 @@ class ResultCache:
             return False
         if path.stem != _spec_key(spec, stored_salt):
             return False  # unreachable: filed under the wrong address
-        if stored_salt == self.salt_for(spec):
-            return True
-        return (
-            self.selective
-            and stored_salt == self.salt
-            and closure_is_pristine(spec_roots(spec), base=self.salt)
-        )
+        return stored_salt == self.salt_for(spec)
 
     def clear(self) -> int:
         """Delete every entry (any salt, both tiers); returns disk count."""

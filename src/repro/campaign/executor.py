@@ -30,11 +30,12 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,18 +56,18 @@ from repro.core.platform import Platform
 from repro.core.task import Instance
 from repro.dag.compiled import CompiledGraph
 from repro.dag.graph import TaskGraph
-from repro.dag.cholesky import cholesky_compiled, cholesky_graph
-from repro.dag.lu import lu_compiled, lu_graph
+from repro.dag.cholesky import cholesky_compiled
+from repro.dag.lu import lu_compiled
 from repro.dag.priorities import assign_priorities
-from repro.dag.qr import qr_compiled, qr_graph
+from repro.dag.qr import qr_compiled
 from repro.dag.random_graphs import layered_random_graph, random_chain_graph
 from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
-from repro.schedulers.online import make_policy
-from repro.simulator import compute_metrics, simulate
+from repro.schedulers.online import POLICIES, make_policy
 from repro.simulator.batch import batch_heteroprio_schedule, batch_simulate_dag
-from repro.simulator.metrics import RunMetrics
+from repro.simulator.metrics import RunMetrics, compute_metrics
+from repro.simulator.runtime import simulate
 
 __all__ = [
     "CampaignRecord",
@@ -77,12 +78,15 @@ __all__ = [
     "execute_spec_cached",
     "execute_unit",
     "derive_seeds",
+    "dispatch_roots",
     "ensure_graph_store",
     "fallback_breakdown",
     "metrics_to_run_metrics",
     "plan_batches",
     "plan_units",
     "set_graph_store",
+    "spec_roots",
+    "workload_root",
 ]
 
 #: The RunMetrics field names, in declaration order — the schema of the
@@ -91,23 +95,26 @@ RUN_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
 
 ProgressCallback = Callable[[CampaignEvent], None]
 
-#: Deterministic workload generators by family name.  Mirrors
-#: :data:`repro.experiments.workloads.FACTORIZATIONS` — duplicated here
-#: (rather than imported) so the engine does not depend on the
-#: experiment package that consumes it.
-FACTORIZATIONS = {
-    "cholesky": cholesky_graph,
-    "qr": qr_graph,
-    "lu": lu_graph,
-}
-
-#: Compiled (struct-of-arrays) builders for the same families — the
-#: fast path every campaign spec over a factorization takes.
-COMPILED_FACTORIZATIONS = {
+#: Compiled (struct-of-arrays) builders of the tiled factorization
+#: families — the path every campaign spec over a factorization takes.
+COMPILED_FACTORIZATIONS: dict[str, Callable[..., CompiledGraph]] = {
     "cholesky": cholesky_compiled,
     "qr": qr_compiled,
     "lu": lu_compiled,
 }
+
+#: Seeded random family generators by name.  Like every dispatch table
+#: here it maps straight to the function: :func:`spec_roots` reads the
+#: function's module, and perfbench's tracer rebinds module globals and
+#: dict values (never tuple members or partials) to wrap it.
+RANDOM_FAMILIES: dict[str, Callable[..., TaskGraph]] = {
+    "layered": layered_random_graph,
+    "chains": random_chain_graph,
+}
+
+#: The ``params`` key of each random family's second shape argument
+#: (layer width / chain length; defaults to the spec's size).
+_EXTENT_PARAMS = {"layered": "width", "chains": "length"}
 
 
 @dataclass(frozen=True)
@@ -167,16 +174,14 @@ def set_graph_store(store: GraphStore | None) -> None:
     """
     # repro-lint: disable=fork-unsafe-state -- the graph store is per-process by design
     # Forked workers inherit the parent's handle; spawn-started workers
-    # re-install it from the (root, salt, selective) triple shipped in
-    # the worker args — both paths converge on the same on-disk store.
+    # re-install it from the (root, salt) pair shipped in the worker
+    # args — both paths converge on the same on-disk store.
     global _graph_store
     _graph_store = store
     _compiled_workload.cache_clear()
 
 
-def ensure_graph_store(
-    root: Path | str, *, salt: str, selective: bool = True
-) -> None:
+def ensure_graph_store(root: Path | str, *, salt: str) -> None:
     """Idempotently point the process-global graph store at *root*.
 
     Keeps the current store — and the in-memory graph memo — when it
@@ -184,13 +189,8 @@ def ensure_graph_store(
     next to a CLI run) rebuild nothing.
     """
     root = Path(root)
-    if (
-        _graph_store is None
-        or _graph_store.root != root
-        or _graph_store.salt != salt
-        or _graph_store.selective != selective
-    ):
-        set_graph_store(GraphStore(root, salt=salt, selective=selective))
+    if _graph_store is None or _graph_store.root != root or _graph_store.salt != salt:
+        set_graph_store(GraphStore(root, salt=salt))
 
 
 @lru_cache(maxsize=8)
@@ -230,29 +230,17 @@ def _workload_graph(
     seed: int | None,
     params: tuple[tuple[str, float], ...],
 ) -> TaskGraph:
-    """Build (and memoise per process) one workload's task graph."""
+    """Build (and memoise per process) one random family's task graph."""
+    try:
+        generator = RANDOM_FAMILIES[workload]
+    except KeyError:
+        raise ValueError(
+            f"unknown workload {workload!r}; expected one of "
+            f"{sorted(COMPILED_FACTORIZATIONS)} or {sorted(RANDOM_FAMILIES)}"
+        ) from None
     options = dict(params)
-    if workload in FACTORIZATIONS:
-        return FACTORIZATIONS[workload](size)
-    rng = np.random.default_rng(seed)
-    if workload == "layered":
-        return layered_random_graph(
-            n_layers=size,
-            layer_width=int(options.pop("width", size)),
-            rng=rng,
-            **options,
-        )
-    if workload == "chains":
-        return random_chain_graph(
-            n_chains=size,
-            chain_length=int(options.pop("length", size)),
-            rng=rng,
-            **options,
-        )
-    raise ValueError(
-        f"unknown workload {workload!r}; expected one of "
-        f"{sorted(FACTORIZATIONS)} or ['layered', 'chains']"
-    )
+    extent = int(options.pop(_EXTENT_PARAMS[workload], size))
+    return generator(size, extent, rng=np.random.default_rng(seed), **options)
 
 
 @lru_cache(maxsize=64)
@@ -275,13 +263,17 @@ def _dag_bound(
     return dag_lower_bound(graph, platform, method=method)
 
 
-_INDEPENDENT_SCHEDULERS = {
-    "heteroprio": lambda inst, platform: heteroprio_schedule(
-        inst, platform, compute_ns=False
-    ),
+#: ``independent``-mode schedulers, plus the keyword options the
+#: executor passes them (HeteroPrio skips the ns-level accounting the
+#: payload never reads).  The options live apart because a lambda would
+#: name this unsalted module as the scheduler's, and a partial would
+#: hide the function from perfbench's tracer.
+_INDEPENDENT_SCHEDULERS: dict[str, Callable[..., Any]] = {
+    "heteroprio": heteroprio_schedule,
     "dualhp": dualhp_schedule,
     "heft": heft_schedule,
 }
+_SCHEDULER_OPTIONS: dict[str, dict[str, bool]] = {"heteroprio": {"compute_ns": False}}
 
 
 def execute_spec(spec: InstanceSpec) -> dict:
@@ -315,7 +307,8 @@ def execute_spec(spec: InstanceSpec) -> dict:
         for task in instance:
             task.priority = 0.0
         bound = area_bound(instance, platform).value
-        makespan = scheduler(instance, platform).makespan
+        options = _SCHEDULER_OPTIONS.get(spec.algorithm, {})
+        makespan = scheduler(instance, platform, **options).makespan
         return {
             "makespan": makespan,
             "lower_bound": bound,
@@ -364,11 +357,15 @@ DUALHP_CROSSOVER = 32
 
 
 #: Algorithms with a lockstep batch implementation.  ``independent``
-#: mode routes through the offline batch schedulers
-#: (:mod:`repro.schedulers.batch`); ``dag`` mode through the policy
-#: kernels of :mod:`repro.simulator.batch_policies` (keyed by prefix —
-#: the ranking scheme varies per row inside one batch).
-_BATCH_INDEPENDENT_ALGORITHMS = frozenset({"heteroprio", "dualhp", "heft"})
+#: mode routes through these offline batch schedulers; ``dag`` mode
+#: through the policy kernels of :mod:`repro.simulator.batch_policies`
+#: (keyed by prefix — the ranking scheme varies per row inside one
+#: batch).
+_BATCH_INDEPENDENT_SCHEDULERS = {
+    "heteroprio": batch_heteroprio_schedule,
+    "dualhp": batch_dualhp_schedule,
+    "heft": batch_heft_schedule,
+}
 _BATCH_DAG_PREFIXES = frozenset({"heteroprio", "dualhp", "heft"})
 
 
@@ -387,7 +384,7 @@ def _batch_key(spec: InstanceSpec) -> tuple | None:
     """
     platform_shape = (spec.num_cpus, spec.num_gpus)
     if spec.mode == "independent":
-        if spec.algorithm not in _BATCH_INDEPENDENT_ALGORITHMS:
+        if spec.algorithm not in _BATCH_INDEPENDENT_SCHEDULERS:
             return None
         if spec.bound not in ("area", "auto"):
             return None
@@ -460,11 +457,7 @@ def _execute_independent_batch(specs: Sequence[InstanceSpec]) -> list[dict] | No
         return None  # ragged task counts: fall back to the scalar path
     cpu = np.array([[t.cpu_time for t in tasks] for tasks in instances])
     gpu = np.array([[t.gpu_time for t in tasks] for tasks in instances])
-    batch_scheduler = {
-        "heteroprio": batch_heteroprio_schedule,
-        "dualhp": batch_dualhp_schedule,
-        "heft": batch_heft_schedule,
-    }[specs[0].algorithm]
+    batch_scheduler = _BATCH_INDEPENDENT_SCHEDULERS[specs[0].algorithm]
     result = batch_scheduler(cpu, gpu, [s.platform for s in specs])
     payloads = []
     for i, spec in enumerate(specs):
@@ -530,6 +523,92 @@ def execute_spec_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
     if specs[0].mode == "independent":
         return _execute_independent_batch(specs)
     return _execute_dag_batch(specs)
+
+
+# -- salt roots ---------------------------------------------------------------
+
+
+def _defining_module(fn: object) -> str:
+    """The src-relative path of the module that defines *fn*.
+
+    Read from ``__module__``, which ``functools.wraps`` preserves, so a
+    wrapped callable still names the module it wraps.
+    """
+    name = fn.__module__
+    stem = name.replace(".", "/")
+    if hasattr(sys.modules[name], "__path__"):  # a package's __init__
+        return f"{stem}/__init__.py"
+    return f"{stem}.py"
+
+
+def _workload_generator(workload: str) -> Callable[..., Any] | None:
+    if workload in COMPILED_FACTORIZATIONS:
+        return COMPILED_FACTORIZATIONS[workload]
+    return RANDOM_FAMILIES.get(workload)
+
+
+def workload_root(workload: str) -> str | None:
+    """The module defining *workload*'s generator, or ``None`` if unknown."""
+    generator = _workload_generator(workload)
+    return None if generator is None else _defining_module(generator)
+
+
+def spec_roots(spec: InstanceSpec) -> tuple[str, ...] | None:
+    """The src-relative modules defining what the executor calls for *spec*.
+
+    The cache-salt roots (:mod:`repro.campaign.salts` closes them over
+    the import graph), read from the same tables and callables
+    :func:`execute_spec` and :func:`execute_spec_batch` dispatch
+    through: the workload generator; the independent scheduler, or the
+    DAG policy class plus :func:`make_policy`; the bound; the DAG
+    simulator, metrics and priority entries; and the lockstep entry
+    when :func:`_batch_key` routes the spec there.  ``None`` when the
+    spec names a workload or algorithm the executor does not dispatch —
+    the salt then widens to every salted module.
+    """
+    generator = _workload_generator(spec.workload)
+    called: list[object]
+    if spec.mode == "independent":
+        scheduler = _INDEPENDENT_SCHEDULERS.get(spec.algorithm)
+        if generator is None or scheduler is None:
+            return None
+        called = [generator, scheduler, area_bound]
+        if _batch_key(spec) is not None:
+            called.append(_BATCH_INDEPENDENT_SCHEDULERS[spec.algorithm])
+    else:
+        policy = POLICIES.get(spec.algorithm.split("-", 1)[0])
+        if generator is None or policy is None:
+            return None
+        called = [
+            generator,
+            policy,
+            make_policy,
+            dag_lower_bound,
+            simulate,
+            compute_metrics,
+            assign_priorities,
+        ]
+        if _batch_key(spec) is not None:
+            called.append(batch_simulate_dag)
+    return tuple(sorted({_defining_module(fn) for fn in called}))
+
+
+def dispatch_roots() -> tuple[str, ...]:
+    """Union of :func:`spec_roots` over every family the executor dispatches.
+
+    One spec per (workload, mode, algorithm) — the reference the
+    ``flow-salt-coverage`` check holds the call graph against.
+    """
+    roots: set[str] = set()
+    for workload in (*COMPILED_FACTORIZATIONS, *RANDOM_FAMILIES):
+        seed = 0 if workload in RANDOM_FAMILIES else None
+        specs = [
+            InstanceSpec(workload, 1, algorithm, mode="independent", seed=seed)
+            for algorithm in _INDEPENDENT_SCHEDULERS
+        ] + [InstanceSpec(workload, 1, prefix, seed=seed) for prefix in POLICIES]
+        for spec in specs:
+            roots.update(spec_roots(spec) or ())
+    return tuple(sorted(roots))
 
 
 def fallback_breakdown(specs: Sequence[InstanceSpec]) -> dict[str, int]:
@@ -732,10 +811,8 @@ def run_campaign(
     spec_list = list(specs)
     if cache is not None:
         # Persist compiled graphs next to the results, keyed with the
-        # same (selective) salting discipline.
-        ensure_graph_store(
-            cache.root / "graphs", salt=cache.salt, selective=cache.selective
-        )
+        # same selective salting discipline.
+        ensure_graph_store(cache.root / "graphs", salt=cache.salt)
     started_wall = time.perf_counter()
     started_at = time.time()
     requested_jobs = os.cpu_count() or 1 if jobs is None else max(1, int(jobs))
@@ -783,7 +860,6 @@ def run_campaign(
     if cache is not None and tier_before is not None:
         stats.memory_hits = cache.stats.memory_hits - tier_before.memory_hits
         stats.disk_hits = cache.stats.disk_hits - tier_before.disk_hits
-        stats.migrated = cache.stats.migrated - tier_before.migrated
 
     # Phase 2: plan the misses into work units (lockstep batch groups +
     # scalar remainder) and run them on the selected backend.
@@ -832,7 +908,6 @@ def run_campaign(
                 jobs=requested_jobs,
                 store_root=None if cache is None else str(cache.root / "graphs"),
                 store_salt="" if cache is None else cache.salt,
-                store_selective=True if cache is None else cache.selective,
                 counters=counters,
             )
             try:

@@ -49,38 +49,25 @@ REFERENCE_TIMING = "reference"
 class GraphStore:
     """Sharded, content-addressed store of compiled workload graphs.
 
-    With ``selective=True`` (the default, matching the result cache) a
-    graph's key mixes in the closure salt of its workload *generator*
-    module (:func:`repro.campaign.salts.workload_salt`): editing
-    ``dag/cholesky.py`` re-keys the cholesky graphs even while the base
-    ``CODE_VERSION`` stands still — without this, selective result
-    recomputes would rebuild from a stale compiled graph and cache
-    wrong metrics under fresh keys.
+    A graph's key mixes in the closure salt of its workload *generator*
+    module (:func:`repro.campaign.salts.workload_salt`), matching the
+    result cache: editing ``dag/cholesky.py`` re-keys the cholesky
+    graphs even while the base ``CODE_VERSION`` stands still — without
+    this, selective result recomputes would rebuild from a stale
+    compiled graph and cache wrong metrics under fresh keys.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        salt: str = CODE_VERSION,
-        selective: bool = True,
-    ):
+    def __init__(self, root: str | Path, *, salt: str = CODE_VERSION):
         self.root = Path(root)
         self.salt = salt
-        self.selective = bool(selective)
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- addressing ----------------------------------------------------------
 
-    def _effective_salt(self, workload: str) -> str:
-        if not self.selective:
-            return self.salt
-        return workload_salt(workload, base=self.salt)
-
     def _meta(self, workload: str, size: int, timing: str) -> dict:
         return {
             "format": GRAPH_FORMAT_VERSION,
-            "salt": self._effective_salt(workload),
+            "salt": workload_salt(workload, base=self.salt),
             "size": int(size),
             "timing": timing,
             "workload": workload,
@@ -155,6 +142,36 @@ class GraphStore:
         for shard in sorted(self.root.iterdir()):
             if shard.is_dir() and len(shard.name) == 2:
                 yield from sorted(shard.glob("*.npz"))
+
+    def gc(self) -> int:
+        """Drop every entry :meth:`get` would not serve; returns the count.
+
+        Removes graphs under superseded salts (an edited generator, a
+        new ``CODE_VERSION``), foreign or corrupt files, and entries
+        filed under the wrong address.
+        """
+        removed = 0
+        for path in list(self.iter_paths()):
+            try:
+                with np.load(path, allow_pickle=False) as data:
+                    meta = json.loads(str(data["meta"][()]))
+                workload, size = str(meta["workload"]), int(meta["size"])
+                timing = str(meta["timing"])
+                keep = (
+                    path == self.path_for(workload, size, timing=timing)
+                    and self.get(workload, size, timing=timing) is not None
+                )
+            except (
+                OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+            ):
+                keep = False
+            if not keep:
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+        return removed
 
     def clear(self) -> int:
         """Delete every entry (any salt); returns the number removed."""

@@ -1,45 +1,35 @@
 """Per-module cache salts: selective invalidation from AST fingerprints.
 
-PR 1-7 keyed every :class:`~repro.campaign.cache.ResultCache` entry with
-the single global :data:`~repro.campaign.spec.CODE_VERSION` salt, so any
-semantic edit to any salted module invalidated the *entire* campaign
-cache — every scheduler tweak recomputed the world.  This module makes
-invalidation proportional to the diff instead:
+A single global salt would make any semantic edit to any salted module
+invalidate the *entire* campaign cache — every scheduler tweak would
+recompute the world.  This module makes invalidation proportional to
+the diff instead:
 
 * every salted module (the packages in
   :data:`repro.analysis.fingerprint.SALTED_PACKAGES`) gets a
   normalized-AST fingerprint (:func:`live_fingerprints`) — the same
   docstring-stripped, position-free hash the cache gate commits to
   ``analysis/fingerprints.json``;
-* a static import graph over those modules (:func:`import_graph`)
-  turns a handful of curated per-spec *root* modules
-  (:func:`spec_roots` — the policy implementation, the simulator path,
-  the bound, the workload generator) into the **dependency closure**
-  of everything the spec's execution can reach
-  (:func:`dependency_closure`);
+* a static import graph over those modules (:func:`import_graph`,
+  from the same single parse per module) turns a spec's *root*
+  modules into the **dependency closure** of everything its execution
+  can reach (:func:`dependency_closure`);
+* the roots come from the executor's own dispatch
+  (:func:`repro.campaign.executor.spec_roots` — the modules defining
+  the workload generator, scheduler or policy, bound and simulator
+  entries it calls for that spec), so no table here restates it;
 * the spec's cache salt (:func:`salt_for_spec`) digests the closure's
   ``(module, fingerprint)`` pairs together with the base
   ``CODE_VERSION`` — so editing ``schedulers/online/heft.py`` re-keys
   only the specs whose closure contains it, and every other entry
   keeps hitting.
 
-Edges *out of* ``__init__.py`` modules are deliberately dropped from
-the import graph: package inits are re-export hubs (e.g.
-``schedulers/online/__init__`` imports all four policies), and
-following them would conflate import-time reachability with execution
-dependence — every spec's closure would contain every policy and
-selectivity would vanish.  An ``__init__`` that carries real logic
-(``make_policy`` dispatch) is instead listed as an explicit root, so
-its own fingerprint is always in the digest without fanning out.
-
-**Migration shim** — entries written before this scheme (salt exactly
-``CODE_VERSION``) stay valid for specs whose closure still fingerprints
-identically to the frozen snapshot committed at migration time
-(``analysis/legacy_fingerprints.json``, never regenerated by tooling):
-:func:`closure_is_pristine`.  The cache promotes such entries to their
-selective key on first read.  Deleting the snapshot file disables the
-shim; re-snapshotting by hand asserts bit-identical behaviour and is
-the only way it should ever change.
+Edges *out of* ``__init__.py`` modules are dropped from the import
+graph (re-export hubs; see
+:func:`repro.analysis.fingerprint.scan_salted_modules`).  An
+``__init__`` that carries real logic (``make_policy`` dispatch) is a
+root whenever the executor calls into it, so its own fingerprint is in
+the digest without fanning out.
 
 Unknown workloads or algorithms fall back to the closure over *all*
 salted modules — maximally conservative, never wrong.
@@ -47,136 +37,35 @@ salted modules — maximally conservative, never wrong.
 
 from __future__ import annotations
 
-import ast
 import hashlib
-import json
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.analysis.fingerprint import SALTED_PACKAGES, compute_fingerprints
+from repro.analysis.fingerprint import scan_salted_modules
 from repro.campaign.spec import InstanceSpec
 from repro.io import canonical_dumps
 
 __all__ = [
-    "LEGACY_MANIFEST_PATH",
-    "check_salt_coverage",
-    "closure_is_pristine",
-    "curated_root_modules",
+    "closure_salt",
     "dependency_closure",
     "import_graph",
-    "legacy_fingerprints",
     "live_fingerprints",
     "reset_salt_caches",
     "salt_for_spec",
     "set_fingerprint_override",
-    "spec_roots",
     "workload_salt",
 ]
-
-#: Repo-relative location of the frozen fingerprint snapshot the
-#: migration shim validates legacy (global-salt) entries against.
-LEGACY_MANIFEST_PATH = "analysis/legacy_fingerprints.json"
-
-# -- curated roots ------------------------------------------------------------
-#
-# Module ids are src-relative posix paths ("repro/core/task.py"),
-# matching the committed fingerprint manifests.  The tables below name
-# the modules a spec's execution *starts* in; the import graph supplies
-# everything they reach.
-
-#: Workload family -> generator module.
-WORKLOAD_MODULES: Dict[str, str] = {
-    "cholesky": "repro/dag/cholesky.py",
-    "qr": "repro/dag/qr.py",
-    "lu": "repro/dag/lu.py",
-    "layered": "repro/dag/random_graphs.py",
-    "chains": "repro/dag/random_graphs.py",
-}
-
-#: ``dag``-mode algorithm prefix -> online policy module (mirrors
-#: :func:`repro.schedulers.online.make_policy` dispatch).
-DAG_POLICY_MODULES: Dict[str, str] = {
-    "heteroprio": "repro/schedulers/online/heteroprio.py",
-    "buckets": "repro/schedulers/online/heteroprio_buckets.py",
-    "heft": "repro/schedulers/online/heft.py",
-    "dualhp": "repro/schedulers/online/dualhp.py",
-}
-
-#: ``independent``-mode algorithm -> scheduler module (mirrors
-#: ``repro.campaign.executor._INDEPENDENT_SCHEDULERS``).
-INDEPENDENT_ALGORITHM_MODULES: Dict[str, str] = {
-    "heteroprio": "repro/core/heteroprio.py",
-    "dualhp": "repro/schedulers/dualhp.py",
-    "heft": "repro/schedulers/heft.py",
-}
-
-#: Modules every ``dag``-mode spec executes regardless of policy:
-#: the runtime simulator, metrics, priority assignment, the LP bound,
-#: and the ``make_policy`` dispatch table itself (an __init__ root —
-#: fingerprinted without fan-out, see the module docstring).
-DAG_COMMON_MODULES: Tuple[str, ...] = (
-    "repro/simulator/runtime.py",
-    "repro/simulator/metrics.py",
-    "repro/simulator/__init__.py",
-    "repro/dag/priorities.py",
-    "repro/bounds/dag_lp.py",
-    "repro/schedulers/online/__init__.py",
-)
-
-#: Modules every ``independent``-mode spec executes regardless of
-#: algorithm (area-bound normalisation).
-INDEPENDENT_COMMON_MODULES: Tuple[str, ...] = ("repro/bounds/area.py",)
-
-#: The lockstep batch engine: part of the closure only for specs the
-#: campaign executor can actually route through it (the HeteroPrio,
-#: HEFT and DualHP ``dag``-mode families plus independent HeteroPrio —
-#: see ``repro.campaign.executor._batch_key``).  Its import of
-#: ``repro/simulator/batch_policies.py`` puts the policy kernels in the
-#: same closures automatically.
-BATCH_ENGINE_MODULE = "repro/simulator/batch.py"
-
-#: The offline lockstep schedulers ``independent``-mode HEFT and DualHP
-#: specs can batch through.
-BATCH_SCHEDULER_MODULE = "repro/schedulers/batch.py"
-
-
-def curated_root_modules() -> Dict[str, Tuple[str, ...]]:
-    """Every curated root table, keyed by a stable table name.
-
-    The analysis seam for :mod:`repro.analysis.flow`: the whole-program
-    salt-closure check compares the execution closure it derives from
-    the call graph against exactly these tables, and its tripwire tests
-    inject doctored copies.  Adding a root table without extending this
-    accessor would silently exempt it from the check — keep them in
-    lockstep.
-    """
-    return {
-        "workload": tuple(sorted(set(WORKLOAD_MODULES.values()))),
-        "dag-policy": tuple(sorted(set(DAG_POLICY_MODULES.values()))),
-        "independent-algorithm": tuple(
-            sorted(set(INDEPENDENT_ALGORITHM_MODULES.values()))
-        ),
-        "dag-common": tuple(DAG_COMMON_MODULES),
-        "independent-common": tuple(INDEPENDENT_COMMON_MODULES),
-        "batch": (BATCH_ENGINE_MODULE, BATCH_SCHEDULER_MODULE),
-    }
-
-
-# -- fingerprints and the import graph ---------------------------------------
 
 # repro-lint: disable=fork-unsafe-state -- fingerprint/graph/closure memos are per-process caches
 # Every process (parent or forked worker) derives bit-identical values
 # from the same committed tree, so divergence between copies is
-# impossible; the memos exist only to amortise the AST walks.
+# impossible; the memos exist only to amortise the AST walk.
 _live: Dict[str, str] | None = None
 _override: Dict[str, str] | None = None
 _graph: Dict[str, Tuple[str, ...]] | None = None
-_legacy: Dict[str, str] | None = None
-_legacy_loaded = False
-_closure_memo: Dict[Tuple[Tuple[str, ...], ...], Tuple[str, ...]] = {}
+_closure_memo: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 _salt_memo: Dict[Tuple[Tuple[str, ...], str], str] = {}
 _spec_roots_memo: Dict[InstanceSpec, Tuple[str, ...]] = {}
-_pristine_memo: Dict[Tuple[Tuple[str, ...], str], bool] = {}
 
 
 def _src_root() -> Path:
@@ -186,25 +75,18 @@ def _src_root() -> Path:
     return Path(repro.__file__).resolve().parent.parent
 
 
-def _repo_root() -> Path:
-    return _src_root().parent
-
-
 def reset_salt_caches() -> None:
     """Drop every memo (fingerprints, graph, closures, salts).
 
     Test seam: call after monkeypatching fingerprints (or editing
     modules on disk) so salts are re-derived from the new state.
     """
-    global _live, _graph, _legacy, _legacy_loaded
+    global _live, _graph
     _live = None
     _graph = None
-    _legacy = None
-    _legacy_loaded = False
     _closure_memo.clear()
     _salt_memo.clear()
     _spec_roots_memo.clear()
-    _pristine_memo.clear()
 
 
 def set_fingerprint_override(overrides: Mapping[str, str] | None) -> None:
@@ -218,84 +100,33 @@ def set_fingerprint_override(overrides: Mapping[str, str] | None) -> None:
     reset_salt_caches()
 
 
+def _scan() -> Tuple[Dict[str, str], Dict[str, Tuple[str, ...]]]:
+    """The memoised single-parse scan of the live tree (plus override)."""
+    global _live, _graph
+    if _live is None or _graph is None:
+        fingerprints, graph = scan_salted_modules(_src_root())
+        if _override:
+            fingerprints.update(_override)
+        _live, _graph = fingerprints, graph
+    return _live, _graph
+
+
 def live_fingerprints() -> Dict[str, str]:
     """Normalized-AST fingerprints of every salted module, as imported.
 
     Computed once per process from the live source tree (plus any test
     override) and memoised; :func:`reset_salt_caches` recomputes.
     """
-    global _live
-    if _live is None:
-        table = compute_fingerprints(_src_root())
-        if _override:
-            table.update(_override)
-        _live = table
-    return _live
-
-
-def _resolve_import(
-    node: ast.Import | ast.ImportFrom, rel: str, modules: frozenset
-) -> Iterable[str]:
-    """Salted-module targets of one import statement in module *rel*."""
-
-    def candidates(dotted: str) -> Iterable[str]:
-        base = dotted.replace(".", "/")
-        for target in (f"{base}.py", f"{base}/__init__.py"):
-            if target in modules:
-                yield target
-
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            yield from candidates(alias.name)
-        return
-    if node.level:  # relative import: resolve against rel's package
-        package_parts = rel.split("/")[:-1]
-        anchor = package_parts[: len(package_parts) - (node.level - 1)]
-        prefix = ".".join(anchor)
-        dotted = f"{prefix}.{node.module}" if node.module else prefix
-    else:
-        dotted = node.module or ""
-    if not dotted:
-        return
-    yield from candidates(dotted)
-    # `from repro.x import y` may bind the submodule y, not an attribute.
-    for alias in node.names:
-        yield from candidates(f"{dotted}.{alias.name}")
+    return _scan()[0]
 
 
 def import_graph() -> Dict[str, Tuple[str, ...]]:
     """Static import edges between salted modules (memoised).
 
     ``graph[rel]`` lists the salted modules *rel* imports anywhere in
-    its body — including function-local imports (``ast.walk`` sees
-    nested statements), so lazily imported dependencies like
-    ``core/heteroprio.py``'s ready-queue import are captured.  Edges
-    out of ``__init__.py`` modules are dropped (re-export hubs; see
-    the module docstring).
+    its body; ``__init__.py`` modules have no outgoing edges.
     """
-    global _graph
-    if _graph is not None:
-        return _graph
-    src = _src_root()
-    modules = frozenset(live_fingerprints())
-    graph: Dict[str, Tuple[str, ...]] = {}
-    for rel in sorted(modules):
-        if rel.endswith("__init__.py"):
-            graph[rel] = ()
-            continue
-        try:
-            tree = ast.parse((src / rel).read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            graph[rel] = ()
-            continue
-        edges: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                edges.update(_resolve_import(node, rel, modules))
-        edges.discard(rel)
-        graph[rel] = tuple(sorted(edges))
-    _graph = graph
-    return graph
+    return _scan()[1]
 
 
 def dependency_closure(roots: Iterable[str]) -> Tuple[str, ...]:
@@ -305,13 +136,13 @@ def dependency_closure(roots: Iterable[str]) -> Tuple[str, ...]:
     (prefixed into the salt digest as absent) so a missing module still
     perturbs the salt rather than silently vanishing.
     """
-    key = (tuple(sorted(set(roots))),)
+    key = tuple(sorted(set(roots)))
     cached = _closure_memo.get(key)
     if cached is not None:
         return cached
     graph = import_graph()
     seen: set[str] = set()
-    stack = list(key[0])
+    stack = list(key)
     while stack:
         rel = stack.pop()
         if rel in seen:
@@ -326,53 +157,16 @@ def dependency_closure(roots: Iterable[str]) -> Tuple[str, ...]:
 # -- spec -> roots -> salt ----------------------------------------------------
 
 
-def _all_modules(reason: str) -> Tuple[str, ...]:
-    """Conservative fallback: every salted module is in the closure."""
-    del reason  # name the call sites; the fallback itself is uniform
-    return tuple(sorted(live_fingerprints()))
-
-
-def spec_roots(spec: InstanceSpec) -> Tuple[str, ...]:
-    """The curated root modules of *spec*'s execution path (memoised).
-
-    Unknown workloads or algorithms widen to every salted module —
-    selectivity degrades, correctness never does.
-    """
+def _spec_roots(spec: InstanceSpec) -> Tuple[str, ...]:
+    """The executor's roots for *spec* (memoised), or every salted module."""
     cached = _spec_roots_memo.get(spec)
-    if cached is not None:
-        return cached
-    roots: list[str] = []
-    workload = WORKLOAD_MODULES.get(spec.workload)
-    if workload is None:
-        roots = list(_all_modules("unknown workload"))
-        result = tuple(sorted(set(roots)))
-        _spec_roots_memo[spec] = result
-        return result
-    roots.append(workload)
-    if spec.mode == "independent":
-        algorithm = INDEPENDENT_ALGORITHM_MODULES.get(spec.algorithm)
-        if algorithm is None:
-            roots = list(_all_modules("unknown independent algorithm"))
-        else:
-            roots.append(algorithm)
-            roots.extend(INDEPENDENT_COMMON_MODULES)
-            if spec.algorithm == "heteroprio":
-                roots.append(BATCH_ENGINE_MODULE)
-            elif spec.algorithm in ("dualhp", "heft"):
-                roots.append(BATCH_SCHEDULER_MODULE)
-    else:
-        prefix = spec.algorithm.split("-", 1)[0]
-        policy = DAG_POLICY_MODULES.get(prefix)
-        if policy is None:
-            roots = list(_all_modules("unknown dag policy"))
-        else:
-            roots.append(policy)
-            roots.extend(DAG_COMMON_MODULES)
-            if prefix in ("heteroprio", "dualhp", "heft"):
-                roots.append(BATCH_ENGINE_MODULE)
-    result = tuple(sorted(set(roots)))
-    _spec_roots_memo[spec] = result
-    return result
+    if cached is None:
+        # Imported here: the executor imports the cache, which imports us.
+        from repro.campaign.executor import spec_roots
+
+        cached = spec_roots(spec) or tuple(sorted(live_fingerprints()))
+        _spec_roots_memo[spec] = cached
+    return cached
 
 
 def _closure_digest(roots: Tuple[str, ...]) -> str:
@@ -400,7 +194,7 @@ def closure_salt(roots: Iterable[str], *, base: str) -> str:
 
 def salt_for_spec(spec: InstanceSpec, *, base: str) -> str:
     """The selective cache salt of *spec*: base x closure fingerprints."""
-    return closure_salt(spec_roots(spec), base=base)
+    return closure_salt(_spec_roots(spec), base=base)
 
 
 def workload_salt(workload: str, *, base: str) -> str:
@@ -411,109 +205,8 @@ def workload_salt(workload: str, *, base: str) -> str:
     when ``CODE_VERSION`` stands still, or selective result recomputes
     would rebuild from a stale graph.
     """
-    root = WORKLOAD_MODULES.get(workload)
-    roots = (root,) if root is not None else _all_modules("unknown workload")
+    from repro.campaign.executor import workload_root
+
+    root = workload_root(workload)
+    roots = (root,) if root is not None else tuple(sorted(live_fingerprints()))
     return closure_salt(roots, base=base)
-
-
-# -- migration shim -----------------------------------------------------------
-
-
-def legacy_fingerprints() -> Dict[str, str] | None:
-    """The frozen snapshot the shim trusts, or ``None`` when disabled.
-
-    Read once from :data:`LEGACY_MANIFEST_PATH` at the repo root; a
-    missing or malformed file disables the shim (legacy entries then
-    simply miss and recompute — safe, just colder).
-    """
-    global _legacy, _legacy_loaded, _legacy_version
-    if _legacy_loaded:
-        return _legacy
-    _legacy_loaded = True
-    _legacy = None
-    _legacy_version = ""
-    try:
-        payload = json.loads(
-            (_repo_root() / LEGACY_MANIFEST_PATH).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        payload = None
-    if isinstance(payload, dict) and isinstance(payload.get("fingerprints"), dict):
-        _legacy = {
-            str(rel): str(fp) for rel, fp in payload["fingerprints"].items()
-        }
-        # The snapshot is only honoured for the base salt it was frozen
-        # against: a CODE_VERSION bump retires the shim wholesale.
-        _legacy_version = str(payload.get("code_version", ""))
-    return _legacy
-
-
-_legacy_version: str = ""
-
-
-def closure_is_pristine(roots: Iterable[str], *, base: str) -> bool:
-    """True iff every module in the closure of *roots* fingerprints
-    identically to the frozen legacy snapshot minted for *base*.
-
-    This is the migration shim's validity predicate: a pristine closure
-    means the legacy (global-salt) cache entry was computed by
-    byte-equivalent code, so serving it cannot be stale.
-    """
-    key = (tuple(sorted(set(roots))), base)
-    cached = _pristine_memo.get(key)
-    if cached is not None:
-        return cached
-    snapshot = legacy_fingerprints()
-    if snapshot is None or _legacy_version != base:
-        result = False
-    else:
-        live = live_fingerprints()
-        result = all(
-            snapshot.get(rel) == live.get(rel)
-            for rel in dependency_closure(key[0])
-        )
-    _pristine_memo[key] = result
-    return result
-
-
-# -- lint-gate validation -----------------------------------------------------
-
-
-def check_salt_coverage() -> list[str]:
-    """Validate the curated root tables against the live tree.
-
-    Returns failure messages (empty = pass):
-
-    * a curated root module that no longer exists under the salted
-      packages (a rename would silently widen closures to the safe
-      fallback — flag it so the table is updated instead);
-    * a salted package with no path into any curated table (informational
-      guard against new packages being silently unsalted — currently
-      every package is reachable, so this only fires on growth).
-    """
-    failures: list[str] = []
-    table = live_fingerprints()
-    curated = (
-        set(WORKLOAD_MODULES.values())
-        | set(DAG_POLICY_MODULES.values())
-        | set(INDEPENDENT_ALGORITHM_MODULES.values())
-        | set(DAG_COMMON_MODULES)
-        | set(INDEPENDENT_COMMON_MODULES)
-        | {BATCH_ENGINE_MODULE, BATCH_SCHEDULER_MODULE}
-    )
-    missing = sorted(rel for rel in curated if rel not in table)
-    if missing:
-        failures.append(
-            "per-module salt roots name modules missing from the salted "
-            f"tree: {', '.join(missing)} — update the tables in "
-            "repro/campaign/salts.py (closures currently widen to the "
-            "conservative all-modules fallback)."
-        )
-    for package in SALTED_PACKAGES:
-        prefix = f"repro/{package}/"
-        if not any(rel.startswith(prefix) for rel in table):
-            failures.append(
-                f"salted package {package!r} has no modules under src — "
-                "SALTED_PACKAGES and the tree disagree."
-            )
-    return failures

@@ -39,9 +39,8 @@ class CampaignStats:
     — with ``jobs > 1``, ``exec_s`` exceeding ``wall_s`` is the speedup
     made visible.
 
-    Cache hits split by tier: ``memory_hits`` + ``disk_hits`` = ``hits``
-    (``migrated`` counts the disk hits served by the legacy-salt
-    migration shim).  ``batched`` counts the executed instances that
+    Cache hits split by tier: ``memory_hits`` + ``disk_hits`` = ``hits``.
+    ``batched`` counts the executed instances that
     went through the lockstep batch engine; the scalar remainder is
     broken out by *why* it fell back — ``fallback_policy`` (the policy
     has no batch implementation, with the per-algorithm attribution in
@@ -64,7 +63,6 @@ class CampaignStats:
     wall_s: float = 0.0
     memory_hits: int = 0
     disk_hits: int = 0
-    migrated: int = 0
     fallback_policy: int = 0
     fallback_by_algorithm: dict = field(default_factory=dict)
     fallback_small: int = 0
@@ -90,7 +88,6 @@ class CampaignStats:
             "wall_s": round(self.wall_s, 6),
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "migrated": self.migrated,
             "fallback_policy": self.fallback_policy,
             "fallback_by_algorithm": dict(sorted(self.fallback_by_algorithm.items())),
             "fallback_small": self.fallback_small,
@@ -102,10 +99,7 @@ class CampaignStats:
     def _hits_detail(self) -> str:
         if not self.hits:
             return ""
-        parts = [f"{self.memory_hits} mem", f"{self.disk_hits} disk"]
-        if self.migrated:
-            parts.append(f"{self.migrated} migrated")
-        return "; " + ", ".join(parts)
+        return f"; {self.memory_hits} mem, {self.disk_hits} disk"
 
     def _executed_detail(self) -> str:
         parts = []

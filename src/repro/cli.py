@@ -27,7 +27,9 @@ bit-identical at any ``--jobs``).
 prints entry/byte counts per tier, ``--prune`` evicts least-recently
 used disk entries down to ``--max-bytes``/``--max-entries``, and
 ``--gc`` deletes entries whose salt no longer matches the current
-code (stale closures that selective invalidation has re-keyed).
+code (stale closures that selective invalidation has re-keyed) from
+the root cache, every ``repro serve`` tenant cache under it and the
+compiled-graph store.
 
 ``bench`` runs the simulator perf harness (:mod:`repro.bench`) and
 writes ``BENCH_simcore.json``; ``--quick`` selects the CI smoke
@@ -43,7 +45,7 @@ tree; ``--cache-gate`` additionally verifies the committed
 
 ``analyze`` runs the whole-program flow checks
 (:mod:`repro.analysis.flow`): determinism taint into cache-keyed
-results, call-graph verification of the curated salt closure, and the
+results, call-graph verification of the executor-derived salt closures, and the
 async/fork concurrency lint pack.  Both ``lint`` and ``analyze``
 accept ``--format json`` for canonical machine-readable reports.
 """
@@ -174,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_group.add_argument(
         "--gc",
         action="store_true",
-        help="cache: delete entries whose salt no longer matches the "
-        "current code (superseded by selective invalidation)",
+        help="cache: delete entries and compiled graphs whose salt no "
+        "longer matches the current code (root, tenant and graph stores)",
     )
     cache_group.add_argument(
         "--max-bytes",
@@ -446,16 +448,33 @@ def _run_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.campaign import ResultCache
+    from repro.campaign.graph_store import GraphStore
 
     root = Path(args.cache_dir)
     if not root.is_dir():
         print(f"[cache] no cache at {root}", file=sys.stderr)
         return 0 if not (args.prune or args.gc) else 2
     cache = ResultCache(root)
+    tenants = sorted(
+        p.name for p in (root / "tenants").iterdir() if p.is_dir()
+    ) if (root / "tenants").is_dir() else []
     acted = False
     if args.gc:
+        # Every store under the root: results, each `repro serve`
+        # tenant's results, and the compiled graphs.
         removed = cache.gc()
-        print(f"[cache] gc: removed {removed} stale-salt entries")
+        tenant_removed = sum(
+            ResultCache(root / "tenants" / tenant, salt=cache.salt).gc()
+            for tenant in tenants
+        )
+        graphs = root / "graphs"
+        graphs_removed = (
+            GraphStore(graphs, salt=cache.salt).gc() if graphs.is_dir() else 0
+        )
+        print(
+            f"[cache] gc: removed {removed} stale-salt entries, "
+            f"{tenant_removed} from tenant caches, {graphs_removed} stale graphs"
+        )
         acted = True
     if args.prune:
         if args.max_bytes is None and args.max_entries is None:
@@ -470,9 +489,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         print(f"[cache] prune: evicted {removed} least-recently-used entries")
         acted = True
     entries, size = cache.disk_usage()
-    tenants = sorted(
-        p.name for p in (root / "tenants").iterdir() if p.is_dir()
-    ) if (root / "tenants").is_dir() else []
     print(
         f"[cache] {root}: {entries} disk entries, {size} bytes "
         f"(salt {cache.salt}; memory tier capacity "

@@ -29,6 +29,7 @@ __all__ = [
     "HeftPolicy",
     "DualHPPolicy",
     "PAPER_ALGORITHMS",
+    "POLICIES",
     "make_policy",
 ]
 
@@ -44,6 +45,15 @@ PAPER_ALGORITHMS = (
 )
 
 
+#: Algorithm prefix -> policy class: the :func:`make_policy` dispatch.
+POLICIES: dict[str, type[OnlinePolicy]] = {
+    "heteroprio": HeteroPrioPolicy,
+    "buckets": BucketHeteroPrioPolicy,
+    "heft": HeftPolicy,
+    "dualhp": DualHPPolicy,
+}
+
+
 def make_policy(name: str) -> OnlinePolicy:
     """Instantiate one of the Figure 7 policies from its paper name.
 
@@ -53,13 +63,9 @@ def make_policy(name: str) -> OnlinePolicy:
     :func:`repro.dag.priorities.assign_priorities`); it does not change
     the policy object except for documentation purposes.
     """
-    algorithm = name.split("-", 1)[0]
-    if algorithm == "heteroprio":
-        return HeteroPrioPolicy()
-    if algorithm == "buckets":
-        return BucketHeteroPrioPolicy()
-    if algorithm == "heft":
-        return HeftPolicy()
-    if algorithm == "dualhp":
-        return DualHPPolicy()
-    raise ValueError(f"unknown algorithm {name!r}; expected one of {PAPER_ALGORITHMS}")
+    policy = POLICIES.get(name.split("-", 1)[0])
+    if policy is None:
+        raise ValueError(
+            f"unknown algorithm {name!r}; expected one of {PAPER_ALGORITHMS}"
+        )
+    return policy()

@@ -94,11 +94,11 @@ class TestMemoryTier:
 
 class TestPickling:
     def test_workers_inherit_config_but_not_tiers(self, tmp_path):
-        cache = ResultCache(tmp_path, salt="s1", selective=False)
+        cache = ResultCache(tmp_path, salt="s1")
         cache.put(spec(4), {"makespan": 1.0})
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.root == cache.root
-        assert clone.salt == "s1" and clone.selective is False
+        assert clone.salt == "s1"
         assert clone.stats.puts == 0  # counters start fresh per child
         assert clone.get(spec(4)) is not None  # disk tier is shared
         assert clone.stats.disk_hits == 1
@@ -153,28 +153,12 @@ class TestPrune:
 
 class TestGc:
     def test_gc_drops_foreign_salts_keeps_current(self, tmp_path):
-        ResultCache(tmp_path, salt="old", selective=False).put(
-            spec(4), {"makespan": 1.0}
-        )
-        cache = ResultCache(tmp_path, salt="new", selective=False)
+        ResultCache(tmp_path, salt="old").put(spec(4), {"makespan": 1.0})
+        cache = ResultCache(tmp_path, salt="new")
         kept = cache.put(spec(5), {"makespan": 2.0})
         assert cache.gc() == 1
         assert kept.exists()
         assert cache.get(spec(5)) is not None
-
-    def test_gc_keeps_shim_valid_legacy_entries(self, tmp_path):
-        # A legacy (base-salt) entry whose closure is still pristine
-        # against the frozen snapshot is servable through the migration
-        # shim: gc must not eat it.  Use the buckets family — the one
-        # dag closure untouched by the batch-kernels rewrite.
-        bspec = InstanceSpec(workload="qr", size=4, algorithm="buckets-avg")
-        legacy = ResultCache(tmp_path, selective=False)
-        legacy.put(bspec, {"makespan": 1.0})
-        cache = ResultCache(tmp_path)
-        assert cache.gc() == 0
-        entry = cache.get(bspec)
-        assert entry is not None
-        assert cache.stats.migrated == 1
 
     def test_gc_drops_corrupt_files(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -182,6 +166,51 @@ class TestGc:
         path.write_text("{not json")
         assert cache.gc() == 1
         assert not path.exists()
+
+
+class TestGcCli:
+    """``repro cache --gc`` collects every store under the cache root."""
+
+    def test_gc_collects_tenant_caches_and_the_graph_store(self, tmp_path, capsys):
+        from repro.campaign.graph_store import GraphStore
+        from repro.cli import main
+        from repro.dag.cholesky import cholesky_compiled
+
+        stores = [ResultCache(tmp_path), ResultCache(tmp_path / "tenants" / "acme")]
+        kept = [store.put(spec(4), {"makespan": 1.0}) for store in stores]
+        stale = [
+            ResultCache(store.root, salt="old").put(spec(5), {"makespan": 2.0})
+            for store in stores
+        ]
+        graphs = tmp_path / "graphs"
+        fresh_graph = GraphStore(graphs).put(cholesky_compiled(3), "cholesky", 3)
+        stale_graph = GraphStore(graphs, salt="old").put(
+            cholesky_compiled(4), "cholesky", 4
+        )
+        corrupt_graph = graphs / "ab" / ("ab" + "0" * 62 + ".npz")
+        corrupt_graph.parent.mkdir(parents=True, exist_ok=True)
+        corrupt_graph.write_bytes(b"not a zip")
+
+        assert main(["cache", "--cache-dir", str(tmp_path), "--gc"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 stale-salt entries, 1 from tenant caches, 2 stale graphs" in out
+        assert all(path.exists() for path in kept)
+        assert not any(path.exists() for path in stale)
+        assert fresh_graph.exists()
+        assert not stale_graph.exists() and not corrupt_graph.exists()
+        assert GraphStore(graphs).get("cholesky", 3) is not None
+
+    def test_prune_stays_root_only(self, tmp_path, capsys):
+        from repro.cli import main
+
+        tenant = ResultCache(tmp_path / "tenants" / "acme")
+        tenant_entry = tenant.put(spec(4), {"makespan": 1.0})
+        ResultCache(tmp_path).put(spec(4), {"makespan": 1.0})
+        assert main(
+            ["cache", "--cache-dir", str(tmp_path), "--prune", "--max-entries", "0"]
+        ) == 0
+        assert ResultCache(tmp_path).disk_usage()[0] == 0
+        assert tenant_entry.exists()
 
 
 class TestStats:
@@ -197,7 +226,7 @@ class TestStats:
         stats = ResultCache(tmp_path).stats.to_dict()
         assert set(stats) == {
             "memory_hits", "disk_hits", "misses", "puts",
-            "memory_evictions", "disk_evictions", "migrated",
+            "memory_evictions", "disk_evictions",
         }
 
     def test_misses_counted(self, tmp_path):

@@ -88,9 +88,13 @@ class TestCliLint:
         assert "unseeded-random" in out
 
     def test_lint_write_fingerprints_round_trip(self, tmp_path, capsys):
+        from repro.analysis.fingerprint import SALTED_PACKAGES
+
+        # Every salted package needs a module, or the gate flags it.
+        for package in SALTED_PACKAGES:
+            (tmp_path / "src" / "repro" / package).mkdir(parents=True)
+            (tmp_path / "src" / "repro" / package / "mod.py").write_text("X = 1\n")
         pkg = tmp_path / "src" / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "mod.py").write_text("X = 1\n")
         assert main(["lint", "--root", str(tmp_path), "--write-fingerprints"]) == 0
         assert main(["lint", "--root", str(tmp_path), "--paths", "",
                      "--cache-gate"]) == 0

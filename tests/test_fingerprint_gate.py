@@ -24,6 +24,7 @@ from repro.analysis.fingerprint import (
     compute_fingerprints,
     load_manifest,
     normalized_fingerprint,
+    scan_salted_modules,
     write_manifest,
 )
 from repro.campaign.spec import CODE_VERSION
@@ -88,8 +89,9 @@ def test_fingerprint_nested_docstrings_stripped():
 
 
 def _fake_tree(tmp_path: Path) -> Path:
+    """A minimal src tree: every salted package with one module."""
     src = tmp_path / "src"
-    for package in ("core", "simulator"):
+    for package in SALTED_PACKAGES:
         pkg = src / "repro" / package
         pkg.mkdir(parents=True)
         (pkg / "__init__.py").write_text("")
@@ -104,10 +106,9 @@ def test_compute_fingerprints_covers_salted_packages_only(tmp_path):
     (extra / "mod.py").write_text("X = 1\n")
     prints = compute_fingerprints(src)
     assert set(prints) == {
-        "repro/core/__init__.py",
-        "repro/core/mod.py",
-        "repro/simulator/__init__.py",
-        "repro/simulator/mod.py",
+        f"repro/{package}/{name}"
+        for package in SALTED_PACKAGES
+        for name in ("__init__.py", "mod.py")
     }
 
 
@@ -173,6 +174,38 @@ def test_gate_fails_on_added_or_removed_modules(tmp_path):
     (src / "repro" / "core" / "mod.py").unlink()
     failures = check_gate(manifest, compute_fingerprints(src), code_version="v1")
     assert failures and "removed: repro/core/mod.py" in failures[0]
+
+
+def test_gate_fails_on_salted_package_with_no_modules(tmp_path):
+    # Rename a salted package and regenerate the manifest: the module
+    # set matches again, but nothing salts the renamed package.
+    src = _fake_tree(tmp_path)
+    (src / "repro" / "timing").rename(src / "repro" / "timing_models")
+    prints = compute_fingerprints(src)
+    manifest = load_manifest(write_manifest(tmp_path / "f.json", prints, code_version="v1"))
+    failures = check_gate(manifest, prints, code_version="v1")
+    assert len(failures) == 1
+    assert "salted package 'timing' has no modules" in failures[0]
+
+
+def test_scan_returns_fingerprints_and_salted_edges_in_one_pass(tmp_path):
+    src = _fake_tree(tmp_path)
+    (src / "repro" / "core" / "mod.py").write_text(
+        '"""Doc."""\nfrom repro.dag import mod\n\ndef f():\n    import repro.timing.mod\n'
+    )
+    (src / "repro" / "core" / "__init__.py").write_text("from repro.core import mod\n")
+    prints, edges = scan_salted_modules(src)
+    assert prints == compute_fingerprints(src)
+    for rel, fingerprint in prints.items():
+        assert fingerprint == normalized_fingerprint((src / rel).read_text())
+    # `from repro.dag import mod` binds the package and the submodule;
+    # function-local imports count too.
+    assert edges["repro/core/mod.py"] == (
+        "repro/dag/__init__.py",
+        "repro/dag/mod.py",
+        "repro/timing/mod.py",
+    )
+    assert edges["repro/core/__init__.py"] == ()  # re-export hubs: no edges
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Each rule in the flow pack gets a fixture tree that *should* trip it —
 taint laundered through helpers and containers, a blocking call on the
 event loop, fork-hostile globals — plus the matching suppression test
 proving ``# repro-lint: disable=RULE -- reason`` silences exactly that
-finding.  The salt-closure tripwires run against the real tree with
-doctored curated tables, which is the acceptance criterion: an
-injected uncovered module must fail the gate.
+finding.  The salt-closure tripwire runs against the real tree with
+doctored executor roots, which is the acceptance criterion: a module
+executed outside every derived closure must fail the gate.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def test_taint_survives_helpers_and_dict_round_trip(tmp_path):
     _write_tree(tmp_path, {"repro/fx/pipeline.py": LAUNDERED})
     report = analyze_tree(
         tmp_path,
-        curated={},
+        roots=(),
         determinism_entries=("repro/fx/pipeline.py::run",),
         worker_entries=(),
     )
@@ -104,7 +104,7 @@ def test_taint_suppression_silences_exactly_one_finding(tmp_path):
     _write_tree(tmp_path, {"repro/fx/pipeline.py": source})
     report = analyze_tree(
         tmp_path,
-        curated={},
+        roots=(),
         determinism_entries=("repro/fx/pipeline.py::run",),
         worker_entries=(),
     )
@@ -121,7 +121,7 @@ def test_global_rng_presence_fires_without_return_flow(tmp_path):
     _write_tree(tmp_path, {"repro/fx/rng.py": source})
     report = analyze_tree(
         tmp_path,
-        curated={},
+        roots=(),
         determinism_entries=("repro/fx/rng.py::run",),
         worker_entries=(),
     )
@@ -134,7 +134,7 @@ def test_pure_fixture_analyzes_clean(tmp_path):
     _write_tree(tmp_path, {"repro/fx/pure.py": source})
     report = analyze_tree(
         tmp_path,
-        curated={},
+        roots=(),
         determinism_entries=("repro/fx/pure.py::run",),
         worker_entries=(),
     )
@@ -142,39 +142,24 @@ def test_pure_fixture_analyzes_clean(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# salt-closure verification (real tree, doctored curated tables)
+# salt-closure verification (real tree, doctored executor roots)
 # ---------------------------------------------------------------------------
 
 
 def test_salt_closure_catches_uncovered_scheduler():
-    """Removing heft from the curated roots must fail the gate."""
-    from repro.campaign import salts
+    """Removing the heft policy from the executor's roots must fail the gate."""
+    from repro.campaign.executor import dispatch_roots
 
-    curated = dict(salts.curated_root_modules())
-    curated["dag-policy"] = tuple(
-        rel for rel in curated["dag-policy"] if "heft" not in rel
+    roots = dispatch_roots()
+    assert "repro/schedulers/online/heft.py" in roots
+    report = analyze_tree(
+        REPO_ROOT,
+        roots=[rel for rel in roots if rel != "repro/schedulers/online/heft.py"],
     )
-    report = analyze_tree(REPO_ROOT, curated=curated)
     found = _findings(report, "flow-salt-coverage")
     assert any(
         "repro/schedulers/online/heft.py" in f.message
-        and "outside every curated salt closure" in f.message
-        for f in found
-    ), report.render()
-
-
-def test_salt_closure_catches_stale_root():
-    from repro.campaign import salts
-
-    curated = dict(salts.curated_root_modules())
-    curated["dag-policy"] = curated["dag-policy"] + (
-        "repro/dag/does_not_exist.py",
-    )
-    report = analyze_tree(REPO_ROOT, curated=curated)
-    found = _findings(report, "flow-salt-coverage")
-    assert any(
-        "repro/dag/does_not_exist.py" in f.message
-        and "not reachable" in f.message
+        and "outside the salt closure of every spec" in f.message
         for f in found
     ), report.render()
 
@@ -214,7 +199,7 @@ async def fine():
 def test_async_blocking_direct_and_interprocedural(tmp_path):
     _write_tree(tmp_path, {"repro/fx/svc.py": ASYNC_BLOCKING})
     report = analyze_tree(
-        tmp_path, curated={}, determinism_entries=(), worker_entries=()
+        tmp_path, roots=(), determinism_entries=(), worker_entries=()
     )
     found = _findings(report, "async-blocking")
     messages = [f.message for f in found]
@@ -232,7 +217,7 @@ def test_async_blocking_suppression(tmp_path):
     )
     _write_tree(tmp_path, {"repro/fx/svc.py": source})
     report = analyze_tree(
-        tmp_path, curated={}, determinism_entries=(), worker_entries=()
+        tmp_path, roots=(), determinism_entries=(), worker_entries=()
     )
     assert not _findings(report, "async-blocking")
     assert any(f.rule_id == "async-blocking" for f, _s in report.suppressed)
@@ -261,7 +246,7 @@ def test_fork_unsafe_state_and_mp_shared_sync(tmp_path):
     _write_tree(tmp_path, {"repro/fx/worker.py": WORKER_FIXTURE})
     report = analyze_tree(
         tmp_path,
-        curated={},
+        roots=(),
         determinism_entries=(),
         worker_entries=("repro/fx/worker.py::worker_main",),
     )
@@ -274,7 +259,7 @@ def test_fork_unsafe_state_and_mp_shared_sync(tmp_path):
 def test_worker_checks_quiet_without_worker_entries(tmp_path):
     _write_tree(tmp_path, {"repro/fx/worker.py": WORKER_FIXTURE})
     report = analyze_tree(
-        tmp_path, curated={}, determinism_entries=(), worker_entries=()
+        tmp_path, roots=(), determinism_entries=(), worker_entries=()
     )
     assert not _findings(report, "fork-unsafe-state")
     assert not _findings(report, "mp-shared-sync")
@@ -294,7 +279,7 @@ def test_payload_is_stable_and_sorted(tmp_path):
         },
     )
     kwargs = dict(
-        curated={},
+        roots=(),
         determinism_entries=("repro/fx/pipeline.py::run",),
         worker_entries=(),
     )

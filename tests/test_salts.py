@@ -3,19 +3,29 @@
 The selective-invalidation contract: a spec's cache salt digests the
 normalized-AST fingerprints of exactly the modules its execution path
 can reach, so a semantic edit re-keys the affected entries and *only*
-those.  The end-to-end test at the bottom proves it on a real campaign:
-edit one scheduler module (via the fingerprint-override seam), rerun a
-mixed grid, and watch only the closure-affected instances recompute.
+those.  The roots come from the executor's own dispatch
+(:func:`repro.campaign.executor.spec_roots`); the soundness test traces
+real executions and checks that every salted module whose functions
+ran lies inside the derived closure.  The end-to-end test at the bottom
+proves selectivity on a real campaign: edit one scheduler module (via
+the fingerprint-override seam), rerun a mixed grid, and watch only the
+closure-affected instances recompute.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import io
+from repro.analysis.fingerprint import SALTED_PACKAGES
 from repro.campaign import InstanceSpec, ResultCache, run_campaign
-from repro.campaign import salts
+from repro.campaign import executor, salts
 from repro.campaign.cache import encode_value
+from repro.campaign.executor import derive_seeds, spec_roots
 from repro.campaign.spec import CODE_VERSION
 
 
@@ -57,8 +67,8 @@ class TestClosures:
                 assert edges == ()
 
     def test_dag_policies_have_distinct_closures(self):
-        hp = salts.dependency_closure(salts.spec_roots(spec_dag("heteroprio-avg")))
-        heft = salts.dependency_closure(salts.spec_roots(spec_dag("heft-avg")))
+        hp = salts.dependency_closure(spec_roots(spec_dag("heteroprio-avg")))
+        heft = salts.dependency_closure(spec_roots(spec_dag("heft-avg")))
         assert "repro/schedulers/online/heteroprio.py" in hp
         assert "repro/schedulers/online/heteroprio.py" not in heft
         assert "repro/schedulers/online/heft.py" in heft
@@ -66,17 +76,37 @@ class TestClosures:
         # (HeteroPrio, HEFT, DualHP); the buckets family stays scalar.
         assert "repro/simulator/batch.py" in hp
         assert "repro/simulator/batch.py" in heft
-        buckets = salts.dependency_closure(salts.spec_roots(spec_dag("buckets-avg")))
+        buckets = salts.dependency_closure(spec_roots(spec_dag("buckets-avg")))
         assert "repro/simulator/batch.py" not in buckets
+        # Random DAG workloads never batch (_batch_key), so neither do
+        # their closures carry the engine.
+        layered = InstanceSpec(workload="layered", size=3, algorithm="heft-avg", seed=1)
+        assert "repro/simulator/batch.py" not in salts.dependency_closure(
+            spec_roots(layered)
+        )
 
     def test_independent_mode_skips_the_dag_simulator(self):
-        ind = salts.dependency_closure(salts.spec_roots(spec_ind("heft")))
+        ind = salts.dependency_closure(spec_roots(spec_ind("heft")))
         assert "repro/simulator/runtime.py" not in ind
         assert "repro/schedulers/heft.py" in ind
 
+    def test_roots_name_the_defining_modules_not_reexport_hubs(self):
+        roots = spec_roots(spec_dag("dualhp-min"))
+        assert "repro/simulator/runtime.py" in roots
+        assert "repro/simulator/__init__.py" not in roots
+        # make_policy's own module is a root (it carries the dispatch);
+        # its re-export edges stay dropped.
+        assert "repro/schedulers/online/__init__.py" in roots
+        assert "repro/schedulers/online/dualhp.py" in roots
+        assert "repro/core/heteroprio.py" in spec_roots(spec_ind("heteroprio"))
+
     def test_unknown_spec_widens_to_all_modules(self):
-        roots = salts.spec_roots(spec_dag("heft-avg", workload="mystery"))
-        assert roots == tuple(sorted(salts.live_fingerprints()))
+        spec = spec_dag("heft-avg", workload="mystery")
+        assert spec_roots(spec) is None
+        widest = salts.closure_salt(salts.live_fingerprints(), base=CODE_VERSION)
+        assert salts.salt_for_spec(spec, base=CODE_VERSION) == widest
+        unknown_policy = spec_dag("magic-avg")
+        assert salts.salt_for_spec(unknown_policy, base=CODE_VERSION) == widest
 
 
 class TestSalts:
@@ -110,48 +140,89 @@ class TestSalts:
         assert salts.workload_salt("cholesky", base=CODE_VERSION) == other
 
 
-class TestMigrationShim:
-    def test_tree_is_pristine_against_the_frozen_snapshot(self):
-        # The legacy snapshot is frozen at the pre-batch-kernels tree.
-        # Closures that avoid the batch modules (the buckets family)
-        # are still pristine; closures that route through the rewritten
-        # batch engine are legitimately re-keyed and must refuse the
-        # shim.
-        buckets = salts.spec_roots(spec_dag("buckets-avg"))
-        assert salts.closure_is_pristine(buckets, base=CODE_VERSION)
-        hp = salts.spec_roots(spec_dag("heteroprio-avg"))
-        assert not salts.closure_is_pristine(hp, base=CODE_VERSION)
+#: The traced families: every independent scheduler and every DAG
+#: policy, over every workload generator the executor dispatches.
+TRACE_FAMILIES = [
+    (mode, algorithm, workload)
+    for workload in ("cholesky", "qr", "lu", "layered", "chains")
+    for mode, algorithms in (
+        ("independent", ("heteroprio", "dualhp", "heft")),
+        ("dag", ("heteroprio-avg", "heft-avg", "dualhp-avg", "buckets-avg")),
+    )
+    for algorithm in algorithms
+]
 
-    def test_pristine_is_per_closure_after_an_edit(self):
-        salts.set_fingerprint_override(
-            {"repro/schedulers/online/heteroprio_buckets.py": "deadbeef" * 8}
+_SRC = Path(executor.__file__).resolve().parents[2]
+_SALTED_DIRS = tuple(str(_SRC / "repro" / package) + "/" for package in SALTED_PACKAGES)
+
+
+def _salted_modules_run(fn, *args):
+    """``(salted modules whose Python functions ran, result)`` of ``fn(*args)``."""
+    files: set[str] = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name != "<module>":
+            files.add(frame.f_code.co_filename)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    modules = {
+        Path(name).resolve().relative_to(_SRC).as_posix()
+        for name in files
+        if str(Path(name).resolve()).startswith(_SALTED_DIRS)
+    }
+    return modules, result
+
+
+def _batch_group(spec: InstanceSpec) -> list[InstanceSpec]:
+    """A 4-row lockstep group around *spec* (seeds or rankings vary)."""
+    if spec.seed is not None:
+        return [spec.with_seed(seed) for seed in derive_seeds(spec.seed, 4)]
+    if spec.mode == "dag":
+        prefix = spec.algorithm.split("-", 1)[0]
+        return [
+            dataclasses.replace(spec, algorithm=f"{prefix}-{ranking}")
+            for ranking in ("avg", "min", "avg", "min")
+        ]
+    return [spec] * 4
+
+
+class TestClosureSoundness:
+    @pytest.fixture(autouse=True)
+    def _clean_overrides(self):
+        """No override is set here, so keep one scan of the tree."""
+        yield
+
+    @pytest.mark.parametrize("mode, algorithm, workload", TRACE_FAMILIES)
+    def test_every_executed_salted_module_is_in_the_closure(
+        self, mode, algorithm, workload
+    ):
+        spec = InstanceSpec(
+            workload=workload,
+            size=3,
+            algorithm=algorithm,
+            mode=mode,
+            bound="area" if mode == "independent" else "auto",
+            seed=11 if workload in ("layered", "chains") else None,
         )
-        # The cholesky generator closure is untouched by the override
-        # (and by the batch-kernels rewrite), the buckets policy
-        # closure is not.
-        assert salts.closure_is_pristine(
-            ("repro/dag/cholesky.py",), base=CODE_VERSION
-        )
-        buckets = salts.spec_roots(spec_dag("buckets-avg"))
-        assert not salts.closure_is_pristine(buckets, base=CODE_VERSION)
-
-    def test_wrong_base_version_retires_the_shim(self):
-        # buckets-avg is pristine under the frozen CODE_VERSION, so the
-        # refusal here can only come from the base-version check.
-        roots = salts.spec_roots(spec_dag("buckets-avg"))
-        assert not salts.closure_is_pristine(roots, base="1999.01-1")
-
-
-class TestCoverage:
-    def test_curated_tables_cover_the_tree(self):
-        assert salts.check_salt_coverage() == []
-
-    def test_renamed_root_is_flagged(self, monkeypatch):
-        monkeypatch.setitem(
-            salts.DAG_POLICY_MODULES, "heft", "repro/schedulers/online/gone.py"
-        )
-        failures = salts.check_salt_coverage()
-        assert failures and "gone.py" in failures[0]
+        # Cold memos, no graph store: every generator, bound and
+        # simulator entry actually runs under the profiler.
+        executor.set_graph_store(None)
+        executor._workload_graph.cache_clear()
+        executor._dag_bound.cache_clear()
+        ran, _ = _salted_modules_run(executor.execute_spec, spec)
+        if executor._batch_key(spec) is not None:
+            group = _batch_group(spec)
+            batch_ran, payloads = _salted_modules_run(executor.execute_spec_batch, group)
+            assert payloads is not None and len(payloads) == len(group)
+            ran |= batch_ran
+        closure = set(salts.dependency_closure(spec_roots(spec)))
+        assert ran, "the profiler saw no salted module run"
+        assert ran <= closure, sorted(ran - closure)
 
 
 class TestSelectiveInvalidationEndToEnd:
@@ -188,22 +259,3 @@ class TestSelectiveInvalidationEndToEnd:
         assert again.stats.hits == len(specs)
         for a, b in zip(cold.records, again.records):
             assert canon(a.metrics) == canon(b.metrics)
-
-    def test_legacy_global_salt_entries_migrate_when_pristine(self, tmp_path):
-        # The buckets family is the one dag closure still pristine
-        # against the frozen legacy snapshot (it avoids the rewritten
-        # batch modules), so it is the one that can exercise the shim.
-        specs = [spec_dag("buckets-avg"), spec_dag("buckets-min")]
-        legacy = ResultCache(tmp_path, selective=False)  # pre-PR layout
-        seeded = run_campaign(specs, jobs=1, cache=legacy)
-        assert seeded.stats.executed == len(specs)
-
-        selective = ResultCache(tmp_path)
-        shimmed = run_campaign(specs, jobs=1, cache=selective)
-        assert shimmed.stats.hits == len(specs)
-        assert shimmed.stats.migrated == len(specs)
-
-        # Migration promoted the entries: the shim is no longer needed.
-        promoted = run_campaign(specs, jobs=1, cache=ResultCache(tmp_path))
-        assert promoted.stats.hits == len(specs)
-        assert promoted.stats.migrated == 0
