@@ -36,10 +36,10 @@ wall-time ratio, so ``speedup_vs_pre_pr`` is meaningful on that
 machine and indicative elsewhere.
 
 With ``--batch``, the suite additionally runs the **batch cases**: the
-same fig6/fig7 grids advanced through the lockstep batch kernels —
-HeteroPrio, HEFT and DualHP, on the DAG engine
-(:mod:`repro.simulator.batch`) and the offline independent schedulers
-(:mod:`repro.schedulers.batch`) — hundreds of instances per call.  Each
+same fig6/fig7 grids advanced in lockstep — HeteroPrio on the DAG
+engine (:mod:`repro.simulator.batch`), HeteroPrio and DualHP on the
+independent schedulers (:mod:`repro.schedulers.batch`) — hundreds of
+instances per call.  Each
 batch case reports the aggregate ``batch_events_per_sec`` next to a
 scalar reference measured on a sample of the same rows (whose makespans
 the runner asserts bitwise-equal to the batch result; DualHP cases also
@@ -134,7 +134,6 @@ _POLICIES = {
     "heteroprio": "heteroprio-avg",
     "buckets": "buckets",
     "heft": "heft-avg",
-    "dualhp": "dualhp-avg",
 }
 
 #: Offline batch schedulers for the fig6 independent cases, by algorithm
@@ -274,7 +273,6 @@ def _batch_dag_case(
     kernel: str,
     n_tiles: int,
     batch: int,
-    policy_key: str = "heteroprio",
     sample: int = 3,
     repeats: int = 2,
 ) -> BenchCase:
@@ -287,10 +285,8 @@ def _batch_dag_case(
     through the scalar simulator for the throughput denominator, and
     the runner asserts the sampled makespans bitwise-equal to the batch
     result — the report's speedup is over *verified-identical* work.
-    ``policy_key`` picks the policy kernel on both sides (``heteroprio``,
-    ``heft`` or ``dualhp``).
     """
-    case_id = f"batch:fig7:{kernel}:n{n_tiles}:{policy_key}:b{batch}"
+    case_id = f"batch:fig7:{kernel}:n{n_tiles}:heteroprio:b{batch}"
 
     def runner(reps: int) -> dict:
         graph = build_compiled(kernel, n_tiles)
@@ -311,7 +307,6 @@ def _batch_dag_case(
                 priorities,
                 cpu_times=cpu,
                 gpu_times=gpu,
-                algorithm=policy_key,
             )
             elapsed = time.perf_counter() - started
             if elapsed < wall:
@@ -333,7 +328,7 @@ def _batch_dag_case(
                 task.gpu_time = float(gpu[row, i])
                 task.priority = float(base_priorities[i])
             sim = RuntimeSimulator(
-                clone, PAPER_PLATFORM, make_policy(_POLICIES[policy_key])
+                clone, PAPER_PLATFORM, make_policy(_POLICIES["heteroprio"])
             )
             schedule = sim.run()
             stats = sim.last_stats
@@ -671,7 +666,6 @@ QUICK_CASES: tuple[BenchCase, ...] = (
 BATCH_CASES: tuple[BenchCase, ...] = (
     _batch_dag_case("cholesky", 12, batch=128),
     _batch_dag_case("cholesky", 20, batch=256),
-    _batch_dag_case("cholesky", 20, batch=256, policy_key="heft"),
     _batch_dag_case("qr", 14, batch=128),
     _batch_dag_case("lu", 14, batch=128),
     _batch_independent_case(2000, batch=256),
@@ -681,7 +675,6 @@ BATCH_CASES: tuple[BenchCase, ...] = (
 #: The ``--quick --batch`` CI smoke subset.
 QUICK_BATCH_CASES: tuple[BenchCase, ...] = (
     _batch_dag_case("cholesky", 12, batch=32, sample=2, repeats=2),
-    _batch_dag_case("cholesky", 12, batch=32, policy_key="heft", sample=2, repeats=2),
     _batch_independent_case(500, batch=64, sample=2, repeats=2),
     _batch_independent_case(
         500, batch=64, algorithm="dualhp", sample=2, repeats=2

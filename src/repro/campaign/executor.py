@@ -65,7 +65,7 @@ from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
 from repro.schedulers.online import POLICIES, make_policy
-from repro.simulator.batch import batch_heteroprio_schedule, batch_simulate_dag
+from repro.simulator.batch import batch_heteroprio_schedule
 from repro.simulator.metrics import RunMetrics, compute_metrics
 from repro.simulator.runtime import simulate
 
@@ -80,9 +80,7 @@ __all__ = [
     "derive_seeds",
     "dispatch_roots",
     "ensure_graph_store",
-    "fallback_breakdown",
     "metrics_to_run_metrics",
-    "plan_batches",
     "plan_units",
     "set_graph_store",
     "spec_roots",
@@ -340,110 +338,71 @@ def metrics_to_run_metrics(metrics: dict) -> RunMetrics:
 
 # -- lockstep batch execution -------------------------------------------------
 
-#: Smallest miss group worth routing through the lockstep batch engine;
-#: below this the per-batch numpy setup outweighs the vectorization win.
-#: Independent-mode DualHP groups must also reach
-#: :data:`DUALHP_CROSSOVER`.
-MIN_BATCH = 4
+#: Smallest miss group the planner routes through the lockstep engine.
+#: Only independent-mode HeteroPrio, HEFT and DualHP groups are
+#: candidates; DAG-mode specs always take the scalar path.  Measured by
+#: ``benchmarks/bench_lockstep_crossover.py`` as ``execute_spec_batch``
+#: time over per-spec ``execute_spec`` time on seeded ``layered`` rows
+#: (median of 3 interleaved repeats, 2-vCPU VM):
+#:
+#:     64 tasks      B=1   B=2   B=4   B=8  B=16  B=32  B=64
+#:     heteroprio   4.04  2.41  1.51  1.07  0.77  0.57  0.51
+#:     heft         1.66  1.06  0.81  0.67  0.62  0.57  0.56
+#:     dualhp       8.51  5.69  3.61  2.23  1.56  1.02  0.86
+#:     256 tasks
+#:     heteroprio   4.25  2.06  1.53  1.00  0.96  0.75  0.77
+#:     heft         1.54  1.20  0.96  0.74  0.72  0.72  0.66
+#:     dualhp       8.13  4.43  2.54  1.92  1.29  0.89  0.85
+#:
+#: 32 rows is the smallest size tried at which none of the three loses:
+#: HeteroPrio and HEFT win on both sizes and DualHP breaks even.  Serve's
+#: 4-row groups run scalar, the 64/128-row seed sweeps in lockstep.
+LOCKSTEP_MIN_ROWS = 32
 
-#: Smallest independent-mode DualHP group the lockstep engine runs
-#: faster than per-row scalar searches.  Measured by
-#: ``benchmarks/bench_dualhp_crossover.py`` as batch time over scalar
-#: time on ``layered`` rows of 64 / 256 tasks: 2.1 / 1.3 at 16 rows,
-#: 1.3 / 0.75 at 32, 0.96 / 0.54 at 64 — 32 rows is where the two
-#: sizes break even on (geometric) average.  Applies on top of the
-#: caller's ``min_batch``.
-DUALHP_CROSSOVER = 32
-
-
-#: Algorithms with a lockstep batch implementation.  ``independent``
-#: mode routes through these offline batch schedulers; ``dag`` mode
-#: through the policy kernels of :mod:`repro.simulator.batch_policies`
-#: (keyed by prefix — the ranking scheme varies per row inside one
-#: batch).
+#: Lockstep entries of the independent-mode (Figure 6) schedulers.
 _BATCH_INDEPENDENT_SCHEDULERS = {
     "heteroprio": batch_heteroprio_schedule,
     "dualhp": batch_dualhp_schedule,
     "heft": batch_heft_schedule,
 }
-_BATCH_DAG_PREFIXES = frozenset({"heteroprio", "dualhp", "heft"})
 
 
 def _batch_key(spec: InstanceSpec) -> tuple | None:
-    """Lockstep grouping key of *spec*, or ``None`` when not batchable.
+    """Lockstep grouping key of *spec*, or ``None`` when it never batches.
 
-    Specs sharing a key can advance together in the lockstep engines:
-    the HeteroPrio, HEFT and DualHP families (each batch runs exactly
-    one policy kernel, so the algorithm — the prefix, in ``dag`` mode —
-    is part of the key), and in ``dag`` mode only the compiled
-    factorizations — all rows of a DAG batch share one
-    :class:`CompiledGraph`, so workload, size, seed and params must
-    match while the ranking scheme (priorities) varies per row.
-    ``independent`` rows need only the same *task count*, so the seed
-    stays out of the key: a seed sweep is one batch.
+    Only independent-mode specs of a policy with a lockstep entry have
+    one.  Rows need only the same *task count*, so the seed stays out
+    of the key: a seed sweep is one group.
     """
-    platform_shape = (spec.num_cpus, spec.num_gpus)
-    if spec.mode == "independent":
-        if spec.algorithm not in _BATCH_INDEPENDENT_SCHEDULERS:
-            return None
-        if spec.bound not in ("area", "auto"):
-            return None
-        return (
-            "independent",
-            spec.algorithm,
-            spec.workload,
-            spec.size,
-            spec.params,
-            platform_shape,
-        )
-    if spec.algorithm.split("-", 1)[0] not in _BATCH_DAG_PREFIXES:
+    if spec.mode != "independent" or spec.bound not in ("area", "auto"):
         return None
-    if spec.workload not in COMPILED_FACTORIZATIONS:
+    if spec.algorithm not in _BATCH_INDEPENDENT_SCHEDULERS:
         return None
     return (
-        "dag",
-        spec.algorithm.split("-", 1)[0],
+        spec.algorithm,
         spec.workload,
         spec.size,
-        spec.seed,
         spec.params,
-        spec.bound,
-        platform_shape,
+        (spec.num_cpus, spec.num_gpus),
     )
 
 
-def _min_rows(key: tuple, min_batch: int) -> int:
-    """Smallest group of batch key *key* that runs in lockstep."""
-    if key[:2] == ("independent", "dualhp"):
-        return max(min_batch, DUALHP_CROSSOVER)
-    return min_batch
+def execute_spec_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
+    """Run one :func:`plan_units` batch group through the lockstep engine.
 
-
-def plan_batches(
-    specs: Sequence[InstanceSpec], *, min_batch: int = MIN_BATCH
-) -> list[list[int]]:
-    """Group indices of *specs* into lockstep-executable batches.
-
-    Returns index lists (into *specs*) in first-appearance order.  A
-    group runs in lockstep from *min_batch* members, or from
-    :data:`DUALHP_CROSSOVER` for independent-mode DualHP when that is
-    larger; specs left out of every group take the scalar
-    :func:`execute_spec` path unchanged.
+    *specs* share one :func:`_batch_key` (an independent-mode seed
+    sweep).  Returns the per-spec Figure 6 payloads in *specs* order —
+    each bit-identical to what :func:`execute_spec` would produce (the
+    lockstep schedulers are pinned to the scalar ones by
+    ``tests/test_batch_differential.py``) — or ``None`` when the group
+    is not batchable after all (specs without one shared batch key,
+    ragged task counts); callers then fall back to the scalar path.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, spec in enumerate(specs):
-        key = _batch_key(spec)
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return [
-        members
-        for key, members in groups.items()
-        if len(members) >= _min_rows(key, min_batch)
-    ]
-
-
-def _execute_independent_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
-    """Figure 6 pipeline over a whole seed sweep in one lockstep run."""
+    if not specs:
+        return []
+    keys = {_batch_key(spec) for spec in specs}
+    if None in keys or len(keys) != 1:
+        return None
     instances = []
     for spec in specs:
         graph = _campaign_graph(spec.workload, spec.size, spec.seed, spec.params)
@@ -471,58 +430,6 @@ def _execute_independent_batch(specs: Sequence[InstanceSpec]) -> list[dict] | No
             }
         )
     return payloads
-
-
-def _execute_dag_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
-    """Figure 7-9 pipeline over rows sharing one compiled graph."""
-    first = specs[0]
-    graph = _campaign_graph(first.workload, first.size, first.seed, first.params)
-    if not isinstance(graph, CompiledGraph):
-        return None
-    priorities = np.empty((len(specs), len(graph)))
-    for i, spec in enumerate(specs):
-        scheme = spec.algorithm.split("-", 1)[1] if "-" in spec.algorithm else "avg"
-        levels = assign_priorities(graph, spec.platform, scheme)
-        priorities[i] = [levels[task] for task in graph.tasks]
-    result = batch_simulate_dag(
-        graph,
-        [s.platform for s in specs],
-        priorities,
-        algorithm=first.algorithm.split("-", 1)[0],
-    )
-    payloads = []
-    for i, spec in enumerate(specs):
-        lower = _dag_bound(
-            spec.workload,
-            spec.size,
-            spec.seed,
-            spec.params,
-            spec.num_cpus,
-            spec.num_gpus,
-            spec.bound,
-        )
-        run = compute_metrics(result.schedule(i), spec.platform, lower_bound=lower)
-        metrics = dataclasses.asdict(run)
-        metrics["ratio"] = run.ratio
-        payloads.append(metrics)
-    return payloads
-
-
-def execute_spec_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
-    """Run one :func:`plan_batches` group through the lockstep engine.
-
-    Returns the per-spec metrics payloads in *specs* order — each
-    bit-identical to what :func:`execute_spec` would produce (the batch
-    engine is pinned event-for-event to the scalar loops by
-    ``tests/test_batch_differential.py``) — or ``None`` when the group
-    turns out not to be batchable after all (ragged task counts, a
-    non-compiled graph); callers then fall back to the scalar path.
-    """
-    if not specs:
-        return []
-    if specs[0].mode == "independent":
-        return _execute_independent_batch(specs)
-    return _execute_dag_batch(specs)
 
 
 # -- salt roots ---------------------------------------------------------------
@@ -562,7 +469,7 @@ def spec_roots(spec: InstanceSpec) -> tuple[str, ...] | None:
     through: the workload generator; the independent scheduler, or the
     DAG policy class plus :func:`make_policy`; the bound; the DAG
     simulator, metrics and priority entries; and the lockstep entry
-    when :func:`_batch_key` routes the spec there.  ``None`` when the
+    when the spec has a :func:`_batch_key`.  ``None`` when the
     spec names a workload or algorithm the executor does not dispatch —
     the salt then widens to every salted module.
     """
@@ -588,8 +495,6 @@ def spec_roots(spec: InstanceSpec) -> tuple[str, ...] | None:
             compute_metrics,
             assign_priorities,
         ]
-        if _batch_key(spec) is not None:
-            called.append(batch_simulate_dag)
     return tuple(sorted({_defining_module(fn) for fn in called}))
 
 
@@ -611,68 +516,45 @@ def dispatch_roots() -> tuple[str, ...]:
     return tuple(sorted(roots))
 
 
-def fallback_breakdown(specs: Sequence[InstanceSpec]) -> dict[str, int]:
-    """Per-algorithm counts of specs with no lockstep batch key.
-
-    The attribution behind ``CampaignStats.fallback_by_algorithm`` and
-    the dispatcher's ``prefetch_fallbacks``: which algorithms still pay
-    the scalar path because no batch kernel implements them.
-    """
-    counts: dict[str, int] = {}
-    for spec in specs:
-        if _batch_key(spec) is None:
-            counts[spec.algorithm] = counts.get(spec.algorithm, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def plan_units(
     specs: Sequence[InstanceSpec],
-    *,
-    batch: bool = True,
-    min_batch: int = MIN_BATCH,
 ) -> tuple[list[WorkUnit], dict[str, int], int]:
     """Plan *specs* (a miss list) into backend work units.
 
-    Lockstep groups that reach their planning threshold (*min_batch*,
-    or :data:`DUALHP_CROSSOVER` for independent-mode DualHP when that is
-    larger) become single batch units (kept whole — they are the steal
-    granularity); everything else becomes one scalar unit per spec, in
-    ascending index order.  Returns ``(units, fallback_policy,
-    fallback_small)`` — ``fallback_policy`` maps each algorithm with no
-    batch implementation to its count of scalar-path specs,
-    ``fallback_small`` counts specs whose group was too small (both
-    empty/0 when *batch* is off: no fallback happened, batching was
-    never requested).
+    A group of specs sharing a :func:`_batch_key` becomes one batch unit
+    (kept whole — it is the steal granularity) once it reaches
+    :data:`LOCKSTEP_MIN_ROWS`; everything else becomes one scalar unit
+    per spec, in ascending index order.  Returns ``(units,
+    fallback_policy, fallback_small)`` — ``fallback_policy`` maps each
+    algorithm whose specs have no batch key (every DAG-mode spec) to its
+    count, ``fallback_small`` counts specs whose group was too small.
     """
     units: list[WorkUnit] = []
     fallback_policy: dict[str, int] = {}
     fallback_small = 0
     scalar: list[int] = []
-    if batch:
-        groups: dict[tuple, list[int]] = {}
-        for i, spec in enumerate(specs):
-            key = _batch_key(spec)
-            if key is None:
-                alg = spec.algorithm
-                fallback_policy[alg] = fallback_policy.get(alg, 0) + 1
-                scalar.append(i)
-            else:
-                groups.setdefault(key, []).append(i)
-        for key, members in groups.items():
-            if len(members) >= _min_rows(key, min_batch):
-                units.append(
-                    WorkUnit(
-                        unit_id=len(units),
-                        indices=tuple(members),
-                        specs=tuple(specs[i] for i in members),
-                        batched=True,
-                    )
+    groups: dict[tuple, list[int]] = {}
+    for i, spec in enumerate(specs):
+        key = _batch_key(spec)
+        if key is None:
+            alg = spec.algorithm
+            fallback_policy[alg] = fallback_policy.get(alg, 0) + 1
+            scalar.append(i)
+        else:
+            groups.setdefault(key, []).append(i)
+    for members in groups.values():
+        if len(members) >= LOCKSTEP_MIN_ROWS:
+            units.append(
+                WorkUnit(
+                    unit_id=len(units),
+                    indices=tuple(members),
+                    specs=tuple(specs[i] for i in members),
+                    batched=True,
                 )
-            else:
-                fallback_small += len(members)
-                scalar.extend(members)
-    else:
-        scalar = list(range(len(specs)))
+            )
+        else:
+            fallback_small += len(members)
+            scalar.extend(members)
     for i in sorted(scalar):
         units.append(
             WorkUnit(
@@ -690,7 +572,7 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
 
     Batch units go through the lockstep engine with the per-spec
     elapsed time amortised over the rows; when the engine declines at
-    run time (ragged task counts, a non-compiled graph) the unit's
+    run time (ragged task counts) the unit's
     specs take the scalar path and the result is flagged
     ``batched=False`` so telemetry can count the runtime fallback.
     """
@@ -722,8 +604,8 @@ def execute_unit(unit: WorkUnit) -> UnitResult:
 def _timed_execute(spec: InstanceSpec) -> tuple[dict, float]:
     # repro-lint: disable=flow-nondeterminism -- elapsed_s wall-time telemetry rides beside metrics by design
     # The elapsed value is stored under the cache's dedicated
-    # ``elapsed_s`` field and excluded from every cached-result
-    # comparison (see tests/test_campaign_cache.py); the metrics payload
+    # ``elapsed_s`` field, beside the metrics and never inside them (see
+    # TestResultCache in tests/test_campaign.py); the metrics payload
     # itself is untouched by the clock.
     started = time.perf_counter()
     metrics = execute_spec(spec)
@@ -763,10 +645,6 @@ def run_campaign(
     jobs: int | None = 1,
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
-    chunksize: int | None = None,
-    manifest: bool = True,
-    batch: bool = True,
-    min_batch: int = MIN_BATCH,
     backend: str | None = None,
 ) -> CampaignOutcome:
     """Execute a spec set, reading and feeding the result cache.
@@ -779,27 +657,12 @@ def run_campaign(
         independent of ``jobs`` — parallelism only changes wall clock.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely,
-        misses are stored back after execution.
+        misses are stored back after execution, and a run manifest is
+        written under ``<cache root>/manifests/``.
     progress:
         Callback invoked once per finished instance with a
         :class:`CampaignEvent` (cache hits first, then executions in
         completion order).
-    chunksize:
-        Dispatch granularity for the ``mp-pool`` backend; defaults to a
-        value that gives each worker a few chunks for load balance
-        while amortising per-task IPC.
-    manifest:
-        When a cache is attached, also write a run manifest under
-        ``<cache root>/manifests/``.
-    batch:
-        Route cache-miss groups that share a lockstep key (see
-        :func:`plan_batches`) through the vectorized batch engine.
-        Payloads are bit-identical either way — batching only changes
-        wall clock (and amortises ``elapsed_s`` telemetry over each
-        batch).
-    min_batch:
-        Smallest group the batch engine will take on (independent-mode
-        DualHP groups also need :data:`DUALHP_CROSSOVER` members).
     backend:
         Executor backend for the misses — one of
         :data:`repro.campaign.backends.BACKEND_NAMES`.  ``None``/
@@ -895,9 +758,7 @@ def run_campaign(
 
     if miss_indices:
         miss_specs = [spec_list[i] for i in miss_indices]
-        units, by_algorithm, stats.fallback_small = plan_units(
-            miss_specs, batch=batch, min_batch=min_batch
-        )
+        units, by_algorithm, stats.fallback_small = plan_units(miss_specs)
         stats.fallback_by_algorithm = dict(sorted(by_algorithm.items()))
         stats.fallback_policy = sum(by_algorithm.values())
         if resolved_backend == "work-stealing":
@@ -935,9 +796,9 @@ def run_campaign(
                 ctx = multiprocessing.get_context(
                     "fork" if "fork" in methods else None
                 )
-                chunk = chunksize or max(
-                    1, len(scalar_specs) // (4 * effective_jobs)
-                )
+                # A few chunks per worker: load balance without paying
+                # IPC per spec.
+                chunk = max(1, len(scalar_specs) // (4 * effective_jobs))
                 # Teardown discipline: ``close()`` + ``join()`` on
                 # success drains the pool cleanly; *any* error —
                 # including a KeyboardInterrupt landing mid-campaign, or
@@ -961,6 +822,6 @@ def run_campaign(
                     pool.join()
 
     stats.wall_s = time.perf_counter() - started_wall
-    if cache is not None and manifest:
+    if cache is not None:
         write_manifest(cache, spec_list, stats, started_at=started_at)
     return CampaignOutcome(records=[r for r in records if r is not None], stats=stats)

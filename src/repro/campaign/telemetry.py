@@ -42,11 +42,11 @@ class CampaignStats:
     Cache hits split by tier: ``memory_hits`` + ``disk_hits`` = ``hits``.
     ``batched`` counts the executed instances that
     went through the lockstep batch engine; the scalar remainder is
-    broken out by *why* it fell back — ``fallback_policy`` (the policy
-    has no batch implementation, with the per-algorithm attribution in
-    ``fallback_by_algorithm``), ``fallback_small`` (the lockstep group
-    was smaller than ``MIN_BATCH``, or than ``DUALHP_CROSSOVER`` for
-    independent-mode DualHP) and ``fallback_runtime`` (the
+    broken out by *why* it took the scalar path — ``fallback_policy``
+    (the spec has no lockstep path: every DAG-mode spec, with the
+    per-algorithm attribution in ``fallback_by_algorithm``),
+    ``fallback_small`` (an independent-mode group smaller than
+    ``LOCKSTEP_MIN_ROWS``) and ``fallback_runtime`` (the
     engine declined at run time, e.g. ragged task counts).  ``backend``
     names the executor backend that ran the misses and ``steals``
     counts work-stealing transfers (0 elsewhere).

@@ -43,9 +43,8 @@ from repro.campaign.cache import CacheStats, ResultCache
 from repro.campaign.executor import (
     ensure_graph_store,
     execute_spec_batch,
-    fallback_breakdown,
     execute_spec_cached,
-    plan_batches,
+    plan_units,
 )
 from repro.campaign.spec import CODE_VERSION, InstanceSpec
 
@@ -114,7 +113,7 @@ class Dispatcher:
             "prefetched": 0,
             "errors": 0,
         }
-        #: Per-algorithm counts of prefetch misses with no batch kernel
+        #: Per-algorithm counts of prefetch misses with no lockstep path
         #: (they stay cold until requested through the scalar path).
         self.prefetch_fallbacks: dict[str, int] = {}
 
@@ -180,26 +179,29 @@ class Dispatcher:
     ) -> int:
         """Warm the tenant cache by lockstep-batching the cold specs.
 
-        Groups the cache misses of *specs* by shared batch key
-        (:func:`repro.campaign.executor.plan_batches`) and runs each
-        group through the vectorized batch engine, writing the results
+        Plans the cache misses of *specs* like a campaign does
+        (:func:`repro.campaign.executor.plan_units`) and runs each batch
+        unit through the vectorized batch engine, writing the results
         into *both* tiers of the tenant's cache — the parent-side
         ``put`` feeds the in-process memory tier, so the per-request
-        lookups that follow are memory hits, not disk reads.  Best-effort and bit-exact: payloads are
-        identical to the scalar path, so a request racing ahead of the
-        warm-up merely recomputes the same entry.  Returns the number
-        of specs warmed (0 when uncached or running behind a test
-        execute seam).
+        lookups that follow are memory hits, not disk reads.  Specs
+        planned as scalar units are left to the per-request path.
+        Best-effort and bit-exact: payloads are identical to the scalar
+        path, so a request racing ahead of the warm-up merely
+        recomputes the same entry.  Returns the number of specs warmed
+        (0 when uncached, running behind a test execute seam, or when
+        no group reaches the lockstep threshold).
         """
         cache = self.cache_for(tenant)
         if cache is None or self._execute_fn is not None:
             return 0
         misses = [spec for spec in specs if cache.get(spec) is None]
-        for alg, count in fallback_breakdown(misses).items():
+        units, by_algorithm, _ = plan_units(misses)
+        for alg, count in by_algorithm.items():
             self.prefetch_fallbacks[alg] = (
                 self.prefetch_fallbacks.get(alg, 0) + count
             )
-        groups = plan_batches(misses)
+        groups = [unit.specs for unit in units if unit.batched]
         if not groups:
             return 0
         loop = asyncio.get_running_loop()
@@ -208,8 +210,7 @@ class Dispatcher:
         # the GIL); the inline lock serialises it against inline-mode
         # scalar executions sharing the per-process graph memos.
         async with self._inline_lock:
-            for group in groups:
-                batch_specs = [misses[i] for i in group]
+            for batch_specs in groups:
                 started = time.monotonic()
                 payloads = await loop.run_in_executor(
                     None, execute_spec_batch, batch_specs

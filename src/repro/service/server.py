@@ -347,7 +347,9 @@ class ScheduleServer:
             },
         )
         # Warm each tenant's cache through the lockstep batch engine
-        # before draining the per-job results.  Best-effort: jobs the
+        # (independent seed sweeps of LOCKSTEP_MIN_ROWS or more specs;
+        # the rest run per job) before draining the per-job results.
+        # Best-effort: jobs the
         # queue already started simply recompute the same (bit-exact)
         # payload instead of hitting the warm entry.
         by_tenant: dict[str, list[Any]] = {}

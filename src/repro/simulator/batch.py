@@ -1,11 +1,11 @@
 # repro-lint: disable=wall-clock -- SimStats.wall_s is bench telemetry
 # only; no simulated time or cached metric is derived from it.
-"""Lockstep batch execution of the online scheduling policies.
+"""Lockstep batch execution of HeteroPrio.
 
 One interpreted Python event loop per instance is the binding constraint
-on campaign throughput (ROADMAP item 2).  This module advances a whole
-*batch* of instances — rows of ``(seed, platform, policy)`` points that
-share one :class:`~repro.dag.compiled.CompiledGraph` structure or one
+on seed-sweep throughput.  This module advances a whole *batch* of
+instances — rows of ``(seed, platform, priority)`` points that share one
+:class:`~repro.dag.compiled.CompiledGraph` structure or one
 independent-task recipe — in lockstep over numpy arrays:
 
 * every piece of per-instance simulator state (worker end times, queue
@@ -21,9 +21,12 @@ independent-task recipe — in lockstep over numpy arrays:
 
 The engine owns everything policy-independent — worker slots, the
 dependency CSR, completion windows, placement records — and delegates
-each policy decision to a *kernel* object from
-:mod:`repro.simulator.batch_policies` (HeteroPrio, HEFT and DualHP)
-that expresses the scalar policy's picks as masked vector operations.
+each policy decision to the HeteroPrio *kernel* of
+:mod:`repro.simulator.batch_policies`, which expresses the scalar
+policy's picks as masked vector operations.  The campaign executor
+routes only independent-mode seed sweeps here
+(:func:`batch_heteroprio_schedule`); :func:`batch_simulate_dag` is the
+DAG-mode entry, kept for the bench and the differential suite.
 
 Semantics are **event-for-event identical** to the scalar loops
 (:mod:`repro.simulator.runtime` for DAGs,
@@ -54,10 +57,8 @@ scalar windows drift apart after the first spoliation.  The scalar
 independent wrapper runs with phantoms disabled.
 
 Ready-queue layout is the kernel's business: HeteroPrio keeps the
-static affinity order (two-ended window / membership mask), HEFT keeps
-per-worker FIFOs as array-encoded linked lists, DualHP keeps a task
-pool plus two pop-ordered class queues rebuilt on demand — see
-:mod:`repro.simulator.batch_policies`.
+static affinity order (a two-ended window for independent rows, a
+membership mask for DAG rows) — see :mod:`repro.simulator.batch_policies`.
 
 Placements are recorded append-only into flat preallocated arrays in
 global chronological order; because each row's records land in its own
@@ -79,11 +80,7 @@ from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
 from repro.core.task import Task
 from repro.dag.compiled import CompiledGraph, _ragged_gather
-from repro.simulator.batch_policies import (
-    HeteroPrioKernel,
-    _row_groups,
-    make_dag_kernel,
-)
+from repro.simulator.batch_policies import HeteroPrioKernel
 from repro.simulator.runtime import SimStats
 
 __all__ = ["BatchResult", "batch_heteroprio_schedule", "batch_simulate_dag"]
@@ -362,30 +359,6 @@ class _LockstepEngine:
         self.w_seq[rows, slots] = self.seq_counter[rows]
         self.seq_counter[rows] += 1
 
-    def _start_multi(
-        self,
-        rows: np.ndarray,
-        slots: np.ndarray,
-        tasks: np.ndarray,
-        now: np.ndarray,
-        durations: np.ndarray,
-    ) -> None:
-        """Begin executions; rows may repeat, sorted, (row, slot) unique.
-
-        Callers present each row's starts in service order (slots
-        ascending), so stamping sequence numbers by position within the
-        row group reproduces the scalar loop's per-start heap tiebreak
-        counter exactly.
-        """
-        if rows.size == 0:
-            return
-        _, urows, counts, offsets = _row_groups(rows)
-        self.w_task[rows, slots] = tasks
-        self.w_start[rows, slots] = now
-        self.w_end[rows, slots] = now + durations
-        self.w_seq[rows, slots] = self.seq_counter[rows] + offsets
-        self.seq_counter[urows] += counts
-
     def _announce(self, rows: np.ndarray, tasks: np.ndarray, t: np.ndarray) -> None:
         """Hand newly ready tasks to the kernel in scalar announce order.
 
@@ -618,25 +591,20 @@ def batch_simulate_dag(
     platforms: Platform | Sequence[Platform],
     priorities: np.ndarray,
     *,
-    algorithm: str = "heteroprio",
     cpu_times: np.ndarray | None = None,
     gpu_times: np.ndarray | None = None,
     spoliation: bool = True,
     victim_rule: str = "priority",
 ) -> BatchResult:
-    """Run one online DAG policy on a batch sharing one graph structure.
+    """Run online HeteroPrio on a batch sharing one graph structure.
 
-    ``algorithm`` picks the policy kernel — ``"heteroprio"`` (default),
-    ``"heft"`` or ``"dualhp"`` (see
-    :data:`repro.simulator.batch_policies.DAG_KERNELS`).
     ``priorities`` is ``(B, n)`` (one priority vector per row — e.g. one
     ranking scheme per row); ``cpu_times``/``gpu_times`` default to the
     graph's own durations broadcast across the batch, or may be
     ``(B, n)`` per-row samples (noise sweeps over one structure).
-    Bit-identical to :func:`repro.simulator.simulate` with the matching
-    :func:`repro.schedulers.online.make_policy` policy per row;
-    ``spoliation``/``victim_rule`` parameterize HeteroPrio only (the
-    scalar HEFT and DualHP policies never spoliate).
+    Bit-identical to :func:`repro.simulator.simulate` with a
+    :class:`~repro.schedulers.online.heteroprio.HeteroPrioPolicy` of the
+    same ``spoliation``/``victim_rule`` per row.
     """
     prio = np.atleast_2d(np.asarray(priorities, dtype=np.float64))
     B, n = prio.shape
@@ -651,9 +619,7 @@ def batch_simulate_dag(
         gpu=gpu,
         priority=prio,
         platforms=_as_platforms(platforms, B),
-        kernel=make_dag_kernel(
-            algorithm, spoliation=spoliation, victim_rule=victim_rule
-        ),
+        kernel=HeteroPrioKernel(migrate=spoliation, victim_rule=victim_rule),
         succ_indptr=graph.succ_indptr,
         succ_indices=graph.succ_indices,
         indegree=np.diff(graph.pred_indptr),

@@ -1,10 +1,10 @@
-"""Array-level policy kernels for the lockstep batch engine.
+"""The array-level HeteroPrio kernel of the lockstep batch engine.
 
 The engine (:class:`repro.simulator.batch._LockstepEngine`) owns the
 shared ``(B, n)`` dependency/worker-slot state and the settle-pass
-structure; a *kernel* owns everything policy-specific — ready queues,
-availability estimates, reassignment — and expresses each decision the
-scalar policy makes as a masked vector operation over the whole batch.
+structure; the *kernel* owns everything policy-specific — the ready
+queue and spoliation — and expresses each decision the scalar policy
+makes as a masked vector operation over the whole batch.
 
 The kernel contract (duck-typed; the engine never imports policy
 classes):
@@ -17,26 +17,12 @@ classes):
 ``serve_pass(t, snapshot, progress)``
     One settle pass: ``snapshot`` is the boolean ``(B, W)`` mask of
     slots idle at pass start; serve each at most once, start work via
-    ``engine._start``/``engine._start_multi``, and set ``progress[b]``
-    for rows that started anything (the engine re-passes those rows).
+    ``engine._start``, and set ``progress[b]`` for rows that started
+    anything (the engine re-passes those rows).
 
-Every kernel here is **bit-identical** to its scalar reference policy
+:class:`HeteroPrioKernel` is **bit-identical** to the scalar loops
 (``tests/test_batch_differential.py`` pins placements, makespans,
-spoliations and ``SimStats`` event-for-event):
-
-* :class:`HeteroPrioKernel` — the affinity-queue + spoliation logic the
-  engine originally hard-coded, unchanged semantically;
-* :class:`HeftKernel` — earliest-finish-time commitment at announce
-  (``schedulers/online/heft.py``): per-class masked argmin over the
-  ``(B, W)`` availability array reproduces ``AvailabilityHeap``'s
-  ``(finish, CPUs-before-GPUs, index)`` tie-break, per-worker FIFO
-  queues live as array-encoded linked lists;
-* :class:`DualHPKernel` — the dual-queue pack policy
-  (``schedulers/online/dualhp.py``): lazy λ binary search and the
-  two-phase pack (forced classes, then acceleration-ordered optionals
-  with CPU overflow) run as masked lockstep loops, with per-row
-  ``lo``/``hi`` floats tracked exactly so every row's λ trajectory
-  matches its scalar run bit-for-bit.
+spoliations and ``SimStats`` event-for-event).
 """
 
 from __future__ import annotations
@@ -48,39 +34,7 @@ import numpy as np
 from repro.core.heteroprio import batch_queue_order
 from repro.core.schedule import TIME_EPS
 
-__all__ = [
-    "HeteroPrioKernel",
-    "HeftKernel",
-    "DualHPKernel",
-    "make_dag_kernel",
-    "DAG_KERNELS",
-]
-
-#: Relative λ tolerance of the scalar online DualHP search.  Duplicated
-#: from :data:`repro.schedulers.online.dualhp.ONLINE_RTOL` (importing it
-#: would pull the scalar policy module into *every* batch spec's salt
-#: closure, re-keying HeteroPrio cache entries on DualHP edits); the
-#: differential suite asserts the two constants stay equal.
-ONLINE_RTOL = 1e-3
-
-
-def _row_groups(
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group a sorted row-id array: (first_ix, urows, counts, offsets).
-
-    ``offsets`` is each element's position within its row group — the
-    building block for per-row sequencing (seq stamps, queue positions,
-    arrival counters) over flat ``np.nonzero``-shaped selections.
-    """
-    change = np.empty(rows.size, dtype=bool)
-    change[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=change[1:])
-    first_ix = np.flatnonzero(change)
-    urows = rows[first_ix]
-    counts = np.diff(np.append(first_ix, rows.size))
-    offsets = np.arange(rows.size) - np.repeat(first_ix, counts)
-    return first_ix, urows, counts, offsets
+__all__ = ["HeteroPrioKernel"]
 
 
 class HeteroPrioKernel:
@@ -93,8 +47,6 @@ class HeteroPrioKernel:
     the ends with banded argmax.  Spoliation polls mirror the scalar
     victim rules exactly — see :meth:`_try_spoliate`.
     """
-
-    name = "heteroprio"
 
     def __init__(self, *, migrate: bool = True, victim_rule: str = "priority"):
         self.migrate = migrate
@@ -329,419 +281,3 @@ class HeteroPrioKernel:
                     skipped = snapshot[fr] & (cols > fs[:, None]) & same
                     e.stats.picks += int(skipped.sum())
             ptr[rset] = svec + 1
-
-
-class HeftKernel:
-    """Earliest-finish-time HEFT as an array kernel (DAG mode).
-
-    The scalar policy commits each task to a worker *at announce time*
-    — per class, the least ``(finish, index)`` over an availability
-    heap, then CPUs-before-GPUs across classes — and each worker drains
-    its own FIFO queue.  Here availability is a ``(B, W)`` array (the
-    per-class argmin in slot space reproduces the heap's index
-    tie-break, because slots within a class are index-ordered), and the
-    FIFOs are array-encoded linked lists (``q_head``/``q_tail`` per
-    slot, ``q_next`` per task).  HEFT never spoliates, so a settle is
-    one serving pass plus one all-fail pass, exactly like the scalar
-    loop's.
-    """
-
-    name = "heft"
-
-    def bind(self, engine) -> None:
-        self.e = e = engine
-        if e.static:
-            raise ValueError(
-                "HeftKernel drives the online DAG policy; independent "
-                "instances go through repro.schedulers.batch"
-            )
-        B, n, W = e.B, e.n, e.W
-        self.avail = np.zeros((B, W))
-        self.q_head = np.full((B, W), -1, dtype=np.int64)
-        self.q_tail = np.full((B, W), -1, dtype=np.int64)
-        self.q_next = np.full((B, n), -1, dtype=np.int64)
-
-    def on_ready(self, rows: np.ndarray, tasks: np.ndarray, t: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        # Commitment is sequential within a row (each choice moves the
-        # availability the next choice reads), so walk announce
-        # positions in lockstep: the k-th new task of every row commits
-        # together.
-        first_ix, _, counts, _ = _row_groups(rows)
-        for k in range(int(counts.max())):
-            sel = first_ix[counts > k] + k
-            self._commit(rows[sel], tasks[sel], t)
-
-    def _commit(self, rr: np.ndarray, tk: np.ndarray, t: np.ndarray) -> None:
-        """Choose a worker for one task per row; rows are unique."""
-        e = self.e
-        avail = self.avail[rr]  # (K, W)
-        now = t[rr][:, None]
-        is_gpu = e.is_gpu[rr]
-        dur = np.where(is_gpu, e.gpu[rr, tk][:, None], e.cpu[rr, tk][:, None])
-        # AvailabilityHeap.best_finish: an idle worker (avail <= now)
-        # finishes at now + duration, a busy one at avail + duration —
-        # np.where selects the exact operand, so both branches are the
-        # scalar's own addition.
-        fin = np.where(avail <= now, now, avail) + dur
-        ar = np.arange(rr.size)
-        fin_cpu = np.where(e.exists[rr] & ~is_gpu, fin, np.inf)
-        cpu_slot = fin_cpu.argmin(axis=1)  # first min = smallest index
-        best_cpu = fin_cpu[ar, cpu_slot]
-        fin_gpu = np.where(is_gpu, fin, np.inf)
-        gpu_slot = fin_gpu.argmin(axis=1)
-        best_gpu = fin_gpu[ar, gpu_slot]
-        # Cross-class key is (finish, CPUs-before-GPUs, index): a GPU
-        # wins only on strictly smaller finish.
-        choose_gpu = np.isfinite(best_gpu) & (
-            ~np.isfinite(best_cpu) | (best_gpu < best_cpu)
-        )
-        slot = np.where(choose_gpu, gpu_slot, cpu_slot)
-        self.avail[rr, slot] = np.where(choose_gpu, best_gpu, best_cpu)
-        # FIFO push onto the chosen worker's queue.
-        tail = self.q_tail[rr, slot]
-        has = tail >= 0
-        self.q_next[rr[has], tail[has]] = tk[has]
-        hr = ~has
-        self.q_head[rr[hr], slot[hr]] = tk[hr]
-        self.q_tail[rr, slot] = tk
-
-    def serve_pass(
-        self, t: np.ndarray, snapshot: np.ndarray, progress: np.ndarray
-    ) -> None:
-        e = self.e
-        e.stats.picks += int(snapshot.sum())
-        served = snapshot & (self.q_head >= 0)
-        rows, slots = np.nonzero(served)  # row-major = service order
-        if rows.size:
-            tk = self.q_head[rows, slots]
-            nxt = self.q_next[rows, tk]
-            self.q_head[rows, slots] = nxt
-            drained = nxt < 0
-            self.q_tail[rows[drained], slots[drained]] = -1
-            dur = np.where(
-                e.is_gpu[rows, slots], e.gpu[rows, tk], e.cpu[rows, tk]
-            )
-            e._start_multi(rows, slots, tk, t[rows], dur)
-            # task_started anchors availability at the true finish.
-            self.avail[rows, slots] = np.maximum(
-                self.avail[rows, slots], t[rows] + dur
-            )
-            progress[rows] = True
-        failed = (snapshot & ~served).any(axis=1)
-        unset = failed & np.isnan(e.first_idle)
-        if unset.any():
-            e.first_idle[unset] = t[unset]
-
-
-class DualHPKernel:
-    """Online DualHP (dual-queue λ pack) as an array kernel (DAG mode).
-
-    The scalar policy pools announced tasks, and on the first poll after
-    an announce re-plans the whole pool: binary-search the smallest
-    feasible λ (to ``ONLINE_RTOL``) where *feasible* means every task
-    packs onto a worker below ``2λ`` total load — forced tasks first
-    (the other resource exceeds λ), then acceleration-ordered optionals
-    on GPU with failures overflowing to CPU — and split the pool into a
-    CPU and a GPU queue, each drained best-priority-first.  Here the
-    pool, arrival stamps and both queues are ``(B, n)`` arrays; the
-    search runs in masked lockstep with per-row ``lo``/``hi`` floats
-    updated only on that row's own trajectory, so every λ midpoint is
-    the scalar's own.  DualHP never spoliates.
-    """
-
-    name = "dualhp"
-
-    def bind(self, engine) -> None:
-        self.e = e = engine
-        if e.static:
-            raise ValueError(
-                "DualHPKernel drives the online DAG policy; independent "
-                "instances go through repro.schedulers.batch"
-            )
-        B, n = e.B, e.n
-        self.pool = np.zeros((B, n), dtype=bool)
-        self.arrival = np.zeros((B, n), dtype=np.int64)
-        self.counter = np.zeros(B, dtype=np.int64)
-        self.dirty = np.zeros(B, dtype=bool)
-        # Class queues stored in pop order (best priority first, FIFO
-        # within ties); ptr..len is the live window.
-        self.cpu_q = np.zeros((B, n), dtype=np.int64)
-        self.gpu_q = np.zeros((B, n), dtype=np.int64)
-        self.cpu_len = np.zeros(B, dtype=np.int64)
-        self.gpu_len = np.zeros(B, dtype=np.int64)
-        self.cpu_ptr = np.zeros(B, dtype=np.int64)
-        self.gpu_ptr = np.zeros(B, dtype=np.int64)
-
-    def on_ready(self, rows: np.ndarray, tasks: np.ndarray, t: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        _, urows, counts, offsets = _row_groups(rows)
-        self.arrival[rows, tasks] = self.counter[rows] + offsets
-        self.pool[rows, tasks] = True
-        self.counter[urows] += counts
-        self.dirty[urows] = True
-
-    def serve_pass(
-        self, t: np.ndarray, snapshot: np.ndarray, progress: np.ndarray
-    ) -> None:
-        e = self.e
-        e.stats.picks += int(snapshot.sum())
-        # The scalar policy re-plans inside the first pick() after an
-        # announce — i.e. at the head of the first pass that polls it.
-        replan = snapshot.any(axis=1) & self.dirty
-        if replan.any():
-            self._reassign(np.flatnonzero(replan), t)
-        # Service order is GPUs first, then CPUs; the j-th idle slot of
-        # a class pops the j-th remaining entry of that class's queue.
-        for gpu_side in (True, False):
-            if gpu_side:
-                cls = snapshot & e.is_gpu
-                q, qlen, qptr = self.gpu_q, self.gpu_len, self.gpu_ptr
-                dur_src = e.gpu
-            else:
-                cls = snapshot & e.exists & ~e.is_gpu
-                q, qlen, qptr = self.cpu_q, self.cpu_len, self.cpu_ptr
-                dur_src = e.cpu
-            rows, slots = np.nonzero(cls)
-            if rows.size == 0:
-                continue
-            _, _, _, offsets = _row_groups(rows)
-            qpos = qptr[rows] + offsets
-            ok = qpos < qlen[rows]
-            if ok.any():
-                sr, ss = rows[ok], slots[ok]
-                tk = q[sr, qpos[ok]]
-                _, su, sc, _ = _row_groups(sr)
-                qptr[su] += sc
-                self.pool[sr, tk] = False
-                e._start_multi(sr, ss, tk, t[sr], dur_src[sr, tk])
-                progress[su] = True
-            if not ok.all():
-                fr = np.unique(rows[~ok])
-                unset = np.isnan(e.first_idle[fr])
-                if unset.any():
-                    e.first_idle[fr[unset]] = t[fr[unset]]
-
-    # -- re-planning -------------------------------------------------------
-
-    def _reassign(self, rs: np.ndarray, t: np.ndarray) -> None:
-        """Rebuild both queues of rows *rs* from their pools at time t."""
-        e = self.e
-        self.dirty[rs] = False
-        w_end = e.w_end[rs]
-        running = np.isfinite(w_end)  # nonexistent slots carry +inf too
-        rem = np.where(running, np.maximum(w_end - t[rs, None], 0.0), 0.0)
-        pool = self.pool[rs]
-        has = pool.any(axis=1)
-        if not has.all():
-            empty = rs[~has]
-            self.cpu_len[empty] = 0
-            self.cpu_ptr[empty] = 0
-            self.gpu_len[empty] = 0
-            self.gpu_ptr[empty] = 0
-            keep = np.flatnonzero(has)
-            rs, rem, pool = rs[keep], rem[keep], pool[keep]
-            if rs.size == 0:
-                return
-        base = rem.max(axis=1)
-        # Pool in the scalar's main-loop order: by acceleration factor,
-        # then priority, then arrival — padded to (R, K).
-        pr, pt = np.nonzero(pool)
-        gr = rs[pr]
-        acc = e.cpu[gr, pt] / e.gpu[gr, pt]
-        order = np.lexsort(
-            (self.arrival[gr, pt], -e.prio[gr, pt], -acc, pr)
-        )
-        pr, pt = pr[order], pt[order]
-        _, _, counts, offsets = _row_groups(pr)
-        R, K = rs.size, int(counts.max())
-        tidx = np.full((R, K), -1, dtype=np.int64)
-        tidx[pr, offsets] = pt
-        valid = tidx >= 0
-        safe = np.where(valid, tidx, 0)
-        grows = rs[:, None]
-        dc = np.where(valid, e.cpu[grows, safe], 0.0)
-        dg = np.where(valid, e.gpu[grows, safe], 0.0)
-        # hi = base + max(sum of min-times in pool order, max min-time):
-        # the cumsum reproduces the scalar's sequential sum (the zero
-        # padding sits at the tail and adds exactly nothing).
-        mint = np.minimum(dc, dg)
-        total = np.cumsum(mint, axis=1)[:, -1]
-        maxmin = np.max(np.where(valid, mint, -np.inf), axis=1)
-        hi = base + np.maximum(total, maxmin)
-        gsl = e.is_gpu[rs]
-        csl = e.exists[rs] & ~e.is_gpu[rs]
-        feas = self._try(rem, gsl, csl, dc, dg, valid, hi)
-        while not feas.all():  # pragma: no cover - scalar parity path
-            bad = np.flatnonzero(~feas)
-            hi[bad] *= 2.0
-            feas[bad] = self._try(
-                rem[bad], gsl[bad], csl[bad], dc[bad], dg[bad],
-                valid[bad], hi[bad],
-            )
-        lo = np.zeros(R)
-        while True:
-            act = (hi - lo) > ONLINE_RTOL * hi
-            if not act.any():
-                break
-            ai = np.flatnonzero(act)
-            mid = 0.5 * (lo[ai] + hi[ai])
-            ok = self._try(
-                rem[ai], gsl[ai], csl[ai], dc[ai], dg[ai], valid[ai], mid
-            )
-            lo[ai[~ok]] = mid[~ok]
-            hi[ai[ok]] = mid[ok]
-        # The accepted assignment is always _try(hi)'s — recompute it
-        # once at the converged λ and materialize the queues.
-        _, gpu_assign = self._try(
-            rem, gsl, csl, dc, dg, valid, hi, want_assignment=True
-        )
-        self._build_queues(rs, tidx, valid, gpu_assign)
-
-    def _try(
-        self,
-        rem: np.ndarray,
-        gslots: np.ndarray,
-        cslots: np.ndarray,
-        dc: np.ndarray,
-        dg: np.ndarray,
-        valid: np.ndarray,
-        lam: np.ndarray,
-        *,
-        want_assignment: bool = False,
-    ):
-        """One λ feasibility pack over (R, K) pools; loads start at rem.
-
-        Mirrors ``DualHPPolicy._try``: tasks in acceleration order, a
-        task whose other-resource time exceeds λ is forced to its fast
-        class (both exceeding → infeasible), optionals greedily pack on
-        the least-loaded GPU under the ``2λ`` limit and overflow to the
-        CPU pass afterwards.  Rows that fail any forced or overflow
-        pack go infeasible and stop evolving.
-        """
-        R, K = valid.shape
-        limit = 2.0 * lam
-        loads = rem.copy()
-        feasible = np.ones(R, dtype=bool)
-        overflow = np.zeros((R, K), dtype=bool)
-        gpu_assign = np.zeros((R, K), dtype=bool)
-        for k in range(K):
-            act = feasible & valid[:, k]
-            if not act.any():
-                continue
-            ai = np.flatnonzero(act)
-            dck, dgk = dc[ai, k], dg[ai, k]
-            lamk = lam[ai]
-            fg = dck > lamk
-            fc = dgk > lamk
-            both = fg & fc
-            if both.any():
-                feasible[ai[both]] = False
-                keep = ~both
-                ai, dck, dgk, fg, fc = (
-                    ai[keep], dck[keep], dgk[keep], fg[keep], fc[keep]
-                )
-                if ai.size == 0:
-                    continue
-            try_gpu = ~fc  # forced-CPU tasks never try the GPU side
-            gi = ai[try_gpu]
-            ok_gpu = np.zeros(ai.size, dtype=bool)
-            if gi.size:
-                lg = np.where(gslots[gi], loads[gi], np.inf)
-                slot = lg.argmin(axis=1)  # (load, index) heap order
-                can = lg[np.arange(gi.size), slot] + dgk[try_gpu] <= limit[gi]
-                ok_gpu[try_gpu] = can
-                wi = gi[can]
-                loads[wi, slot[can]] += dgk[try_gpu][can]
-                gpu_assign[wi, k] = True
-            failed_gpu = try_gpu & ~ok_gpu
-            feasible[ai[failed_gpu & fg]] = False
-            overflow[ai[failed_gpu & ~fg], k] = True
-            ci = ai[fc]
-            if ci.size:
-                lc = np.where(cslots[ci], loads[ci], np.inf)
-                slot = lc.argmin(axis=1)
-                can = lc[np.arange(ci.size), slot] + dck[fc] <= limit[ci]
-                wi = ci[can]
-                loads[wi, slot[can]] += dck[fc][can]
-                feasible[ci[~can]] = False
-        # Optionals that missed the GPU cut pack onto CPUs, same order.
-        for k in range(K):
-            act = feasible & overflow[:, k]
-            if not act.any():
-                continue
-            ai = np.flatnonzero(act)
-            dck = dc[ai, k]
-            lc = np.where(cslots[ai], loads[ai], np.inf)
-            slot = lc.argmin(axis=1)
-            can = lc[np.arange(ai.size), slot] + dck <= limit[ai]
-            wi = ai[can]
-            loads[wi, slot[can]] += dck[can]
-            feasible[ai[~can]] = False
-        if want_assignment:
-            return feasible, gpu_assign
-        return feasible
-
-    def _build_queues(
-        self,
-        rs: np.ndarray,
-        tidx: np.ndarray,
-        valid: np.ndarray,
-        gpu_assign: np.ndarray,
-    ) -> None:
-        """Split the pool into class queues, stored in pop order."""
-        e = self.e
-        mr, mk = np.nonzero(valid)
-        tk = tidx[mr, mk]
-        grows = rs[mr]
-        pri = e.prio[grows, tk]
-        arr = self.arrival[grows, tk]
-        gq = gpu_assign[mr, mk]
-        for side in (True, False):
-            q, qlen, qptr = (
-                (self.gpu_q, self.gpu_len, self.gpu_ptr)
-                if side
-                else (self.cpu_q, self.cpu_len, self.cpu_ptr)
-            )
-            qptr[rs] = 0
-            qlen[rs] = 0
-            sel = gq if side else ~gq
-            rr, tt = mr[sel], tk[sel]
-            if rr.size == 0:
-                continue
-            # Scalar pop order: best (priority, -arrival) first.
-            order = np.lexsort((arr[sel], -pri[sel], rr))
-            rr, tt = rr[order], tt[order]
-            _, urows, counts, offsets = _row_groups(rr)
-            q[rs[rr], offsets] = tt
-            qlen[rs[urows]] = counts
-
-
-#: DAG-mode kernel factories by campaign algorithm prefix.
-DAG_KERNELS = {
-    "heteroprio": HeteroPrioKernel,
-    "heft": HeftKernel,
-    "dualhp": DualHPKernel,
-}
-
-
-def make_dag_kernel(
-    algorithm: str, *, spoliation: bool = True, victim_rule: str = "priority"
-):
-    """Instantiate the DAG-mode kernel for a campaign algorithm prefix.
-
-    ``spoliation``/``victim_rule`` only parameterize HeteroPrio — the
-    scalar HEFT and DualHP policies never spoliate, so their kernels
-    take no knobs.
-    """
-    if algorithm == "heteroprio":
-        return HeteroPrioKernel(migrate=spoliation, victim_rule=victim_rule)
-    try:
-        return DAG_KERNELS[algorithm]()
-    except KeyError:
-        raise ValueError(
-            f"no batch kernel for algorithm {algorithm!r}; expected one of "
-            f"{sorted(DAG_KERNELS)}"
-        ) from None

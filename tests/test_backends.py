@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
 
@@ -24,10 +25,10 @@ from repro.campaign.backends import (
 )
 from repro.campaign.cache import encode_value
 from repro.campaign.executor import (
-    DUALHP_CROSSOVER,
-    MIN_BATCH,
+    LOCKSTEP_MIN_ROWS,
+    execute_spec,
+    execute_spec_batch,
     execute_unit,
-    plan_batches,
     plan_units,
 )
 
@@ -73,98 +74,126 @@ class TestResolveBackend:
         assert "auto" in BACKEND_NAMES
 
 
+def seed_sweep(algorithm: str, rows: int) -> list[InstanceSpec]:
+    """*rows* seeded independent ``layered`` specs: one batch key."""
+    return [
+        InstanceSpec(
+            workload="layered", size=3, algorithm=algorithm,
+            mode="independent", bound="area", seed=seed,
+        )
+        for seed in range(rows)
+    ]
+
+
 class TestPlanUnits:
     def test_batch_groups_become_single_units(self):
-        # The dag batch key includes the size and the algorithm prefix,
-        # so the heteroprio rows pair up per size (mixed ranking schemes
-        # share one kernel) while each heft-avg row is a group of one.
-        specs = fig7_specs()
-        units, fallback_policy, fallback_small = plan_units(specs, min_batch=2)
-        batch_units = [u for u in units if u.batched]
-        assert len(batch_units) == 2
-        assert all(len(u.indices) == 2 for u in batch_units)
-        assert fallback_policy == {}  # every paper policy has a kernel now
-        assert fallback_small == 2  # the two singleton heft-avg groups
+        specs = fig7_specs() + seed_sweep("heft", LOCKSTEP_MIN_ROWS) + fig6_specs()
+        units, fallback_policy, fallback_small = plan_units(specs)
+        batched = [u for u in units if u.batched]
+        first = len(fig7_specs())
+        assert [u.indices for u in batched] == [
+            tuple(range(first, first + LOCKSTEP_MIN_ROWS))
+        ]
         scalar = [u for u in units if not u.batched]
         assert all(len(u.indices) == 1 for u in scalar)
+        assert sum(fallback_policy.values()) == len(fig7_specs())
+        assert fallback_small == len(fig6_specs())
         # Every index appears exactly once across all units.
         seen = sorted(i for u in units for i in u.indices)
         assert seen == list(range(len(specs)))
 
     def test_small_groups_fall_back_with_a_count(self):
-        # At the default MIN_BATCH the per-size groups are too small.
-        specs = fig7_specs()
-        assert MIN_BATCH > 2
+        # A serve-shaped batch: four seeds under each independent
+        # algorithm, three groups far below the threshold.
+        specs = [
+            spec
+            for algorithm in ("heteroprio", "dualhp", "heft")
+            for spec in seed_sweep(algorithm, 4)
+        ]
         units, fallback_policy, fallback_small = plan_units(specs)
-        assert all(not u.batched for u in units)
-        assert fallback_small == 6
-        assert fallback_policy == {}
+        assert not any(u.batched for u in units)
+        assert (fallback_policy, fallback_small) == ({}, 12)
 
     def test_policy_fallback_breaks_down_by_algorithm(self):
-        # Bucketed HeteroPrio has no batch kernel; its rows are counted
-        # against their algorithm name, not a bare total.
-        specs = fig7_specs() + [
-            InstanceSpec(workload="qr", size=n, algorithm="buckets-avg")
-            for n in (4, 5)
+        # DAG specs never plan a batch unit: neither the four valid
+        # rankings of one prefix on one graph (the largest group a DAG
+        # batch key ever admitted) nor 40 copies of one DAG spec.  They
+        # count against their algorithm name.
+        quad = [
+            InstanceSpec(workload="qr", size=4, algorithm=algorithm)
+            for algorithm in (
+                "heteroprio", "heteroprio-avg", "heteroprio-min",
+                "heteroprio-fifo",
+            )
         ]
-        units, fallback_policy, fallback_small = plan_units(specs, min_batch=2)
-        assert fallback_policy == {"buckets-avg": 2}
-        assert fallback_small == 2
-        seen = sorted(i for u in units for i in u.indices)
-        assert seen == list(range(len(specs)))
-
-    def test_independent_dualhp_batches_only_from_the_crossover(self):
-        def sweep(algorithm: str, rows: int) -> list[InstanceSpec]:
-            return [
-                InstanceSpec(
-                    workload="layered", size=3, algorithm=algorithm,
-                    mode="independent", bound="area", seed=seed,
-                )
-                for seed in range(rows)
-            ]
-
-        # A serve-sized group of four seeds takes the scalar search.
-        small = sweep("dualhp", 4)
-        units, fallback_policy, fallback_small = plan_units(small)
-        assert not any(u.batched for u in units)
-        assert (fallback_policy, fallback_small) == ({}, 4)
-        assert plan_batches(small) == []
-        # A crossover-sized group is one batch unit.
-        full = sweep("dualhp", DUALHP_CROSSOVER)
-        units, _, fallback_small = plan_units(full)
-        assert [(u.indices, u.batched) for u in units] == [
-            (tuple(range(DUALHP_CROSSOVER)), True)
-        ]
-        assert fallback_small == 0
-        assert plan_batches(full) == [list(range(DUALHP_CROSSOVER))]
-        # The caller's min_batch still applies on top of the crossover.
-        units, _, fallback_small = plan_units(full, min_batch=DUALHP_CROSSOVER + 1)
-        assert not any(u.batched for u in units)
-        assert fallback_small == DUALHP_CROSSOVER
-        # HeteroPrio and HEFT groups keep batching from MIN_BATCH rows.
-        for algorithm in ("heteroprio", "heft"):
-            group = sweep(algorithm, MIN_BATCH)
-            units, _, fallback_small = plan_units(group)
+        copies = [InstanceSpec(workload="cholesky", size=4, algorithm="dualhp-avg")] * 40
+        for specs in (quad, copies):
+            units, _, fallback_small = plan_units(specs)
             assert [(u.indices, u.batched) for u in units] == [
-                (tuple(range(MIN_BATCH)), True)
-            ], algorithm
+                ((i,), False) for i in range(len(specs))
+            ]
             assert fallback_small == 0
-            assert plan_batches(group) == [list(range(MIN_BATCH))]
-        # DAG-mode DualHP rows sharing one graph are not affected.
-        dag = [
-            InstanceSpec(workload="qr", size=4, algorithm=f"dualhp-{scheme}")
-            for scheme in ("avg", "min", "fifo")
-        ]
-        units, _, fallback_small = plan_units(dag, min_batch=2)
-        assert [(u.indices, u.batched) for u in units] == [((0, 1, 2), True)]
+        _, fallback_policy, _ = plan_units(quad + copies)
+        assert fallback_policy == {
+            "dualhp-avg": 40,
+            "heteroprio": 1,
+            "heteroprio-avg": 1,
+            "heteroprio-fifo": 1,
+            "heteroprio-min": 1,
+        }
 
-    def test_batch_off_counts_nothing(self):
-        units, fallback_policy, fallback_small = plan_units(
-            fig7_specs(), batch=False
-        )
-        assert all(not u.batched for u in units)
-        assert fallback_policy == {}
+    def test_independent_groups_batch_from_the_threshold(self):
+        for algorithm in ("heteroprio", "heft", "dualhp"):
+            below = seed_sweep(algorithm, LOCKSTEP_MIN_ROWS - 1)
+            units, fallback_policy, fallback_small = plan_units(below)
+            assert not any(u.batched for u in units), algorithm
+            assert (fallback_policy, fallback_small) == ({}, 31), algorithm
+            full = seed_sweep(algorithm, LOCKSTEP_MIN_ROWS)
+            units, fallback_policy, fallback_small = plan_units(full)
+            assert [(u.indices, u.batched) for u in units] == [
+                (tuple(range(LOCKSTEP_MIN_ROWS)), True)
+            ], algorithm
+            assert (fallback_policy, fallback_small) == ({}, 0), algorithm
+
+    def test_platform_shapes_split_groups(self):
+        # The platform is part of the batch key: two full sweeps on two
+        # shapes are two units, each whole.
+        paper = seed_sweep("heteroprio", LOCKSTEP_MIN_ROWS)
+        small = [dataclasses.replace(s, num_cpus=4, num_gpus=2) for s in paper]
+        units, _, fallback_small = plan_units(paper + small)
+        assert [(u.indices, u.batched) for u in units] == [
+            (tuple(range(LOCKSTEP_MIN_ROWS)), True),
+            (tuple(range(LOCKSTEP_MIN_ROWS, 2 * LOCKSTEP_MIN_ROWS)), True),
+        ]
         assert fallback_small == 0
+
+
+class TestExecuteSpecBatch:
+    @pytest.mark.parametrize("algorithm", ["heteroprio", "heft", "dualhp"])
+    def test_payloads_match_execute_spec(self, algorithm):
+        specs = seed_sweep(algorithm, 6)
+        payloads = execute_spec_batch(specs)
+        assert payloads is not None
+        assert [canon(p) for p in payloads] == [
+            canon(execute_spec(spec)) for spec in specs
+        ]
+
+    def test_declines_groups_without_one_shared_key(self):
+        assert execute_spec_batch([]) == []
+        assert execute_spec_batch(fig7_specs()[:2]) is None
+        mixed = seed_sweep("heft", 2) + seed_sweep("dualhp", 2)
+        assert execute_spec_batch(mixed) is None
+
+    def test_declined_batch_unit_runs_scalar(self):
+        # A batch unit the engine declines (here: DAG specs) still
+        # answers, through the scalar path, flagged as not batched.
+        specs = fig7_specs()[:2]
+        unit = WorkUnit(unit_id=0, indices=(0, 1), specs=tuple(specs), batched=True)
+        result = execute_unit(unit)
+        assert not result.batched
+        assert [canon(p) for p in result.payloads] == [
+            canon(execute_spec(spec)) for spec in specs
+        ]
 
 
 class TestStealPolicy:
@@ -209,7 +238,7 @@ class TestWorkStealingFabric:
 
     def test_counters_report_steals(self):
         specs = fig7_specs()
-        units, _, _ = plan_units(specs, batch=False)
+        units, _, _ = plan_units(specs)
         counters: dict[str, int] = {}
         results = list(run_work_stealing(units, jobs=2, counters=counters))
         assert len(results) == len(units)
@@ -217,13 +246,13 @@ class TestWorkStealingFabric:
 
     def test_worker_error_propagates_and_tears_down(self):
         bad = InstanceSpec(workload="svd", size=4, algorithm="heft-avg")
-        units, _, _ = plan_units([bad] * 3, batch=False)
+        units, _, _ = plan_units([bad] * 3)
         with pytest.raises(ValueError, match="workload"):
             list(run_work_stealing(units, jobs=2))
 
     def test_consumer_abandoning_the_iterator_kills_workers(self):
         specs = fig7_specs()
-        units, _, _ = plan_units(specs, batch=False)
+        units, _, _ = plan_units(specs)
         gen = run_work_stealing(units, jobs=2)
         first = next(gen)
         assert first.payloads
@@ -252,35 +281,37 @@ class TestRunCampaignBackends:
             assert canon(a.metrics) == canon(b.metrics)
 
     def test_stats_count_fallback_reasons(self):
-        with_buckets = fig7_specs() + [
-            InstanceSpec(workload="qr", size=n, algorithm="buckets-avg")
-            for n in (4, 5)
-        ]
-        outcome = run_campaign(
-            with_buckets, jobs=1, backend="serial", min_batch=2
+        # DAG specs have no lockstep path; a full independent group
+        # batches while a short one counts as small.
+        specs = (
+            fig7_specs()
+            + seed_sweep("dualhp", LOCKSTEP_MIN_ROWS)
+            + seed_sweep("heteroprio", 2)
         )
-        assert outcome.stats.fallback_policy == 2
-        assert outcome.stats.fallback_by_algorithm == {"buckets-avg": 2}
-        assert outcome.stats.fallback_small == 2  # singleton heft-avg groups
-        assert outcome.stats.batched == 4  # two heteroprio pairs ran lockstep
-        summary = outcome.stats.summary()
-        assert "policy-unsupported [buckets-avg: 2]" in summary
+        outcome = run_campaign(specs, jobs=1, backend="serial")
+        stats = outcome.stats
+        assert stats.batched == LOCKSTEP_MIN_ROWS
+        assert stats.fallback_policy == 6
+        assert stats.fallback_by_algorithm == {
+            "heft-avg": 2, "heteroprio-avg": 2, "heteroprio-min": 2,
+        }
+        assert stats.fallback_small == 2
+        summary = stats.summary()
+        assert f"{LOCKSTEP_MIN_ROWS} batched" in summary
+        assert "6 policy-unsupported [heft-avg: 2" in summary
+        assert "2 small-group" in summary
         assert "[serial]" in summary
-        small = run_campaign(fig7_specs(), jobs=1, backend="serial")
-        assert small.stats.batched == 0
-        assert small.stats.fallback_policy == 0
-        assert small.stats.fallback_by_algorithm == {}
-        assert small.stats.fallback_small == 6
-        assert "small-group" in small.stats.summary()
+        # The batched rows carry the scalar path's exact payloads.
+        for record in outcome.records[len(fig7_specs()):][:LOCKSTEP_MIN_ROWS]:
+            assert canon(record.metrics) == canon(execute_spec(record.spec))
 
-    def test_paper_grids_have_zero_policy_fallback(self):
-        # The ISSUE-9 invariant: every fig6/fig7 paper policy has a
-        # batch kernel, so nothing on the committed grids ever falls
-        # back for policy reasons.
+    def test_paper_grids_run_scalar(self):
+        # The fig6/fig7 grids' groups hold at most three rows, so nothing
+        # on them reaches the lockstep engine.
         for grid in (fig6_specs, fig7_specs):
-            outcome = run_campaign(grid(), jobs=1, backend="serial", min_batch=2)
-            assert outcome.stats.fallback_policy == 0, grid.__name__
-            assert outcome.stats.fallback_by_algorithm == {}, grid.__name__
+            stats = run_campaign(grid(), jobs=1, backend="serial").stats
+            assert stats.batched == 0, grid.__name__
+            assert stats.executed == len(grid()), grid.__name__
 
     def test_unknown_backend_rejected_up_front(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -27,7 +27,6 @@ from repro.dag.qr import qr_compiled
 from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
-from repro.schedulers.online import make_policy
 from repro.schedulers.online.heteroprio import HeteroPrioPolicy
 from repro.simulator.batch import batch_heteroprio_schedule, batch_simulate_dag
 from repro.simulator.runtime import RuntimeSimulator, SimStats
@@ -267,93 +266,6 @@ def test_batch_result_stats_wall_clock_populated():
     assert result.stats.tasks == 4 * 10
 
 
-# -- DAG mode, HEFT and DualHP kernels ----------------------------------------
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("algorithm", ["heft", "dualhp"])
-def test_dag_heft_dualhp_families_noise_rows(family, algorithm):
-    """HEFT/DualHP batch kernels vs the scalar online policies, row-wise.
-
-    Spoliation stays enabled on the engine side (the campaign default);
-    neither scalar policy ever spoliates, so the aggregate abort counter
-    must agree at zero — a divergence here would mean the batch kernel
-    invented or suppressed aborts.
-    """
-    graph = FAMILIES[family]()
-    levels = assign_priorities(graph, PAPER_PLATFORM, "avg")
-    base_priorities = np.array([levels[t] for t in graph.tasks])
-    n_rows = 12
-    cpu, gpu = _noise_rows(graph, n_rows, seed=hash((family, algorithm)) % 2**32)
-    priorities = np.tile(base_priorities, (n_rows, 1))
-    result = batch_simulate_dag(
-        graph,
-        PAPER_PLATFORM,
-        priorities,
-        cpu_times=cpu,
-        gpu_times=gpu,
-        algorithm=algorithm,
-    )
-    scalar_total = SimStats()
-    for b in range(n_rows):
-        clone = graph.with_durations(cpu[b], gpu[b])
-        clone_tasks = clone.tasks
-        for task, priority in zip(clone_tasks, base_priorities):
-            task.priority = float(priority)
-        sim = RuntimeSimulator(clone, PAPER_PLATFORM, make_policy(f"{algorithm}-avg"))
-        ref = sim.run()
-        assert sim.last_stats is not None
-        scalar_total.merge(sim.last_stats)
-        assert_same_schedule(
-            ref, result.schedule(b, tasks=clone_tasks), (family, algorithm, b)
-        )
-    for key in ("events", "stale_events", "picks", "tasks", "aborts"):
-        assert getattr(result.stats, key) == getattr(scalar_total, key), key
-    assert result.stats.aborts == 0
-
-
-@pytest.mark.parametrize("algorithm", ["heft", "dualhp"])
-def test_dag_heft_dualhp_mixed_platforms_one_batch(algorithm):
-    graph = cholesky_compiled(6)
-    platforms = [PAPER_PLATFORM, Platform(4, 2), Platform(2, 2), Platform(3, 1)]
-    priorities = np.empty((len(platforms), len(graph)))
-    for b, platform in enumerate(platforms):
-        levels = assign_priorities(graph, platform, "avg")
-        priorities[b] = [levels[t] for t in graph.tasks]
-    result = batch_simulate_dag(
-        graph, platforms, priorities, algorithm=algorithm
-    )
-    for b, platform in enumerate(platforms):
-        assign_priorities(graph, platform, "avg")  # restore task.priority
-        sim = RuntimeSimulator(graph, platform, make_policy(f"{algorithm}-avg"))
-        ref = sim.run()
-        assert_same_schedule(ref, result.schedule(b), (algorithm, platform))
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_dag_heft_ranking_schemes(scheme):
-    """All three ranking schemes batch bit-identically under HEFT."""
-    graph = qr_compiled(4)
-    levels = assign_priorities(graph, PAPER_PLATFORM, scheme)
-    base_priorities = np.array([levels[t] for t in graph.tasks])
-    n_rows = 6
-    cpu, gpu = _noise_rows(graph, n_rows, seed=hash(("heft", scheme)) % 2**32)
-    priorities = np.tile(base_priorities, (n_rows, 1))
-    result = batch_simulate_dag(
-        graph, PAPER_PLATFORM, priorities, cpu_times=cpu, gpu_times=gpu,
-        algorithm="heft",
-    )
-    for b in range(n_rows):
-        clone = graph.with_durations(cpu[b], gpu[b])
-        clone_tasks = clone.tasks
-        for task, priority in zip(clone_tasks, base_priorities):
-            task.priority = float(priority)
-        ref = RuntimeSimulator(
-            clone, PAPER_PLATFORM, make_policy(f"heft-{scheme}")
-        ).run()
-        assert_same_schedule(ref, result.schedule(b, tasks=clone_tasks), (scheme, b))
-
-
 # -- offline batch schedulers (fig6 independent mode) -------------------------
 
 
@@ -440,13 +352,10 @@ def test_offline_tie_heavy_durations(batch_fn, scalar_fn):
 
 
 def test_duplicated_search_constants_stay_in_sync():
-    """The batch modules duplicate the scalar search tolerances to keep
-    their salt closures minimal; a drift here would break bit-identity
+    """The offline batch module duplicates the scalar search tolerance to
+    keep its salt closure minimal; a drift here would break bit-identity
     silently, so it is pinned as a test instead of an import."""
     import repro.schedulers.batch as offline_batch
     import repro.schedulers.dualhp as scalar_dualhp
-    import repro.schedulers.online.dualhp as scalar_online
-    import repro.simulator.batch_policies as online_batch
 
     assert offline_batch.SEARCH_RTOL == scalar_dualhp.SEARCH_RTOL
-    assert online_batch.ONLINE_RTOL == scalar_online.ONLINE_RTOL

@@ -361,9 +361,10 @@ def test_committed_report_has_batch_cases():
         # warmed graph build across sample rows, so the denominators are
         # tighter than the original >= 5x HeteroPrio-only pin.
         assert payload["batch_speedup"] >= 3.0
-    # The paper-policy roster is covered: HeteroPrio, HEFT and DualHP
-    # all appear as batch cases in the committed baseline.
-    for policy in ("heteroprio", "heft", "dualhp"):
+    # The lockstep roster is covered: HeteroPrio (DAG and independent)
+    # and independent DualHP appear as batch cases in the committed
+    # baseline.
+    for policy in ("heteroprio", "dualhp"):
         assert any(f":{policy}:" in k for k in batch_cases), policy
 
 

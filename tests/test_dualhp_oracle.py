@@ -27,7 +27,7 @@ from reference_runtime import (
     reference_dualhp_schedule,
     reference_dualhp_try,
 )
-from repro.campaign.executor import DUALHP_CROSSOVER
+from repro.campaign.executor import LOCKSTEP_MIN_ROWS
 from repro.core.platform import Platform
 from repro.core.task import Instance, Task
 from repro.dag.graph import TaskGraph
@@ -185,7 +185,7 @@ def test_online_doubling_path_matches_oracle(monkeypatch):
 # -- lockstep batch ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("rows", [1, 2, DUALHP_CROSSOVER - 1, DUALHP_CROSSOVER])
+@pytest.mark.parametrize("rows", [1, 2, LOCKSTEP_MIN_ROWS - 1, LOCKSTEP_MIN_ROWS])
 @given(data=st.data())
 @settings(max_examples=8, deadline=None)
 def test_batch_matches_offline_oracle(rows, data):

@@ -14,7 +14,6 @@ closure-affected instances recompute.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -72,17 +71,14 @@ class TestClosures:
         assert "repro/schedulers/online/heteroprio.py" in hp
         assert "repro/schedulers/online/heteroprio.py" not in heft
         assert "repro/schedulers/online/heft.py" in heft
-        # The batch engine rides with every batch-routable dag family
-        # (HeteroPrio, HEFT, DualHP); the buckets family stays scalar.
-        assert "repro/simulator/batch.py" in hp
-        assert "repro/simulator/batch.py" in heft
+        # DAG specs never batch (_batch_key), so no DAG closure carries
+        # the lockstep engine; independent HeteroPrio's does.
         buckets = salts.dependency_closure(spec_roots(spec_dag("buckets-avg")))
-        assert "repro/simulator/batch.py" not in buckets
-        # Random DAG workloads never batch (_batch_key), so neither do
-        # their closures carry the engine.
         layered = InstanceSpec(workload="layered", size=3, algorithm="heft-avg", seed=1)
-        assert "repro/simulator/batch.py" not in salts.dependency_closure(
-            spec_roots(layered)
+        for closure in (hp, heft, buckets, salts.dependency_closure(spec_roots(layered))):
+            assert "repro/simulator/batch.py" not in closure
+        assert "repro/simulator/batch.py" in salts.dependency_closure(
+            spec_roots(spec_ind("heteroprio"))
         )
 
     def test_independent_mode_skips_the_dag_simulator(self):
@@ -179,15 +175,9 @@ def _salted_modules_run(fn, *args):
 
 
 def _batch_group(spec: InstanceSpec) -> list[InstanceSpec]:
-    """A 4-row lockstep group around *spec* (seeds or rankings vary)."""
+    """A 4-row lockstep group around independent *spec* (seeds vary)."""
     if spec.seed is not None:
         return [spec.with_seed(seed) for seed in derive_seeds(spec.seed, 4)]
-    if spec.mode == "dag":
-        prefix = spec.algorithm.split("-", 1)[0]
-        return [
-            dataclasses.replace(spec, algorithm=f"{prefix}-{ranking}")
-            for ranking in ("avg", "min", "avg", "min")
-        ]
     return [spec] * 4
 
 

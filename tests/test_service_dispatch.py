@@ -7,6 +7,7 @@ import asyncio
 from repro import io
 from repro.campaign import InstanceSpec, ResultCache, execute_spec
 from repro.campaign.cache import encode_value
+from repro.campaign.executor import LOCKSTEP_MIN_ROWS
 from repro.service.dispatch import Dispatcher, namespaced_cache
 
 
@@ -212,16 +213,18 @@ class TestDispatcher:
 
 
 class TestPrefetch:
-    def seed_sweep(self) -> list[InstanceSpec]:
-        # Independent-mode heteroprio seed sweep: one batch group (the
-        # batch key drops the seed), large enough for the default
-        # MIN_BATCH so prefetch actually takes the lockstep engine.
+    def seed_sweep(
+        self, rows: int = LOCKSTEP_MIN_ROWS, algorithm: str = "heteroprio"
+    ) -> list[InstanceSpec]:
+        # Independent-mode seed sweep: one batch group (the batch key
+        # drops the seed), by default just large enough to reach the
+        # lockstep threshold so prefetch takes the batch engine.
         return [
             InstanceSpec(
-                workload="layered", size=3, algorithm="heteroprio",
+                workload="layered", size=3, algorithm=algorithm,
                 mode="independent", bound="area", seed=seed,
             )
-            for seed in (1, 2, 3, 4)
+            for seed in range(1, rows + 1)
         ]
 
     def test_prefetch_routes_warm_hits_through_the_memory_tier(self, tmp_path):
@@ -265,6 +268,49 @@ class TestPrefetch:
             finally:
                 dispatcher.close()
             assert dispatcher.counters["prefetched"] == len(specs)
+
+        asyncio.run(body())
+
+    def test_serve_sized_groups_warm_nothing_and_answer_through_run(
+        self, tmp_path
+    ):
+        # A serve-shaped batch: four seeds under each independent
+        # algorithm.  Every group is below the lockstep threshold, so
+        # prefetch warms nothing and each request executes scalar.
+        specs = [
+            spec
+            for algorithm in ("heteroprio", "dualhp", "heft")
+            for spec in self.seed_sweep(4, algorithm)
+        ]
+
+        async def body():
+            dispatcher = Dispatcher(tmp_path, workers=0)
+            try:
+                assert await dispatcher.prefetch(specs) == 0
+                results = [await dispatcher.run(spec) for spec in specs]
+            finally:
+                dispatcher.close()
+            assert dispatcher.counters["prefetched"] == 0
+            assert dispatcher.counters["executed"] == len(specs)
+            assert not any(r.cached for r in results)
+            for spec, result in zip(specs, results):
+                assert canon(result.metrics) == canon(execute_spec(spec))
+
+        asyncio.run(body())
+
+    def test_prefetch_warms_sweeps_and_attributes_dag_misses(self, tmp_path):
+        sweep = self.seed_sweep()
+        dag = [SPEC, OTHER, SPEC]
+
+        async def body():
+            dispatcher = Dispatcher(tmp_path, workers=0)
+            try:
+                assert await dispatcher.prefetch(dag + sweep) == len(sweep)
+            finally:
+                dispatcher.close()
+            assert dispatcher.stats()["prefetch_fallbacks"] == {
+                "heft-avg": 1, "heteroprio-min": 2,
+            }
 
         asyncio.run(body())
 
