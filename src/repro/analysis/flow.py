@@ -69,10 +69,11 @@ DETERMINISM_ENTRIES: Tuple[str, ...] = (
 )
 
 #: Multiprocessing worker entry points: the work-stealing fabric's
-#: worker loop and the mp-pool map function.
+#: worker loop and the function the service's ``--pool-workers`` pool
+#: runs in forked workers.
 WORKER_ENTRIES: Tuple[str, ...] = (
     "repro/campaign/backends.py::_ws_worker",
-    "repro/campaign/executor.py::_timed_execute",
+    "repro/campaign/executor.py::execute_spec_cached",
 )
 
 #: Files whose wall-clock reads are sanctioned instrumentation (same

@@ -11,17 +11,17 @@ infrastructure:
 * :mod:`~repro.campaign.cache` — :class:`ResultCache`, an atomic,
   sharded on-disk store of per-instance metrics keyed by that hash;
 * :mod:`~repro.campaign.executor` — :func:`run_campaign`, which serves
-  cached instances and fans misses out over a ``multiprocessing`` pool
+  cached instances and runs the misses inline at one job, over the
+  work-stealing fabric of :mod:`~repro.campaign.backends` above one
   (serial results are reproduced bit-for-bit at any job count);
-* :mod:`~repro.campaign.telemetry` — per-run manifests, progress
-  events and :class:`CampaignStats` counters.
+* :mod:`~repro.campaign.telemetry` — per-run manifests and
+  :class:`CampaignStats` counters.
 
 Figures 6 and 7 (and everything sharing their sweeps) route through
 this engine; ``python -m repro campaign`` is the CLI front end.
 """
 
 from repro.campaign.spec import CODE_VERSION, InstanceSpec
-from repro.campaign.backends import BACKEND_NAMES, resolve_backend
 from repro.campaign.cache import (
     CacheStats,
     ResultCache,
@@ -37,25 +37,17 @@ from repro.campaign.executor import (
     metrics_to_run_metrics,
     run_campaign,
 )
-from repro.campaign.telemetry import (
-    CampaignEvent,
-    CampaignStats,
-    campaign_id,
-    write_manifest,
-)
+from repro.campaign.telemetry import CampaignStats, campaign_id, write_manifest
 
 __all__ = [
-    "BACKEND_NAMES",
     "CODE_VERSION",
     "InstanceSpec",
     "CacheStats",
     "ResultCache",
     "CampaignOutcome",
     "CampaignRecord",
-    "CampaignEvent",
     "CampaignStats",
     "run_campaign",
-    "resolve_backend",
     "execute_spec",
     "execute_spec_cached",
     "derive_seeds",

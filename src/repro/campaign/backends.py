@@ -1,30 +1,25 @@
-"""Pluggable executor backends for the campaign engine.
+"""The work-stealing fabric that runs a campaign's cache misses.
 
 :func:`~repro.campaign.executor.run_campaign` plans its cache misses
 into :class:`WorkUnit` values — one lockstep batch group or one scalar
-spec each — and hands them to a backend:
+spec each — and hands every unit to :func:`run_work_stealing`:
 
-* ``serial`` — every unit inline in the parent, in plan order: the
-  bit-for-bit reference path;
-* ``mp-pool`` — the pre-PR-8 shape: batch units in the parent (numpy
-  releases the GIL, and batches amortise IPC away anyway), scalar units
-  chunked over a static ``multiprocessing.Pool``;
-* ``work-stealing`` — *all* units flow through a deque-per-worker
-  fabric coordinated by the parent: units are dealt round-robin into
-  per-worker deques, each worker pulls its next unit from the head of
-  its own deque, and an idle worker **steals from the tail of the
-  longest other deque** (ties to the lowest worker id — deterministic
-  victim choice).  Batch groups stay intact as single steal units, so
-  stealing never splits a lockstep batch.  Because every unit's result
-  is keyed by ``unit_id`` and merged by the parent, scheduling order —
-  and therefore worker count — cannot change any payload: output is
-  bit-identical to ``serial`` at any ``jobs``.
+* at one job (or one unit) the units run inline in the parent, in plan
+  order: the bit-for-bit serial reference path;
+* above one job they flow through a deque-per-worker fabric coordinated
+  by the parent: units are dealt round-robin into per-worker deques,
+  each worker pulls its next unit from the head of its own deque, and
+  an idle worker **steals from the tail of the longest other deque**
+  (ties to the lowest worker id — deterministic victim choice).  Batch
+  groups stay intact as single steal units, so stealing never splits a
+  lockstep batch.  Because every unit's result is keyed by ``unit_id``
+  and merged by the parent, scheduling order — and therefore worker
+  count — cannot change any payload: output is bit-identical to the
+  inline path at any ``jobs``.
 
-``auto`` resolves to ``serial`` for one job and ``mp-pool`` otherwise
-(the historical behaviour).  The fabric prefers the ``fork`` start
-method (workers inherit the process-global graph store); under
-``spawn`` it re-installs the store from the handle shipped with the
-worker args.
+The fabric prefers the ``fork`` start method (workers inherit the
+process-global graph store); under ``spawn`` it re-installs the store
+from the handle shipped with the worker args.
 """
 
 from __future__ import annotations
@@ -37,16 +32,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Sequence, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (executor imports us)
     from repro.campaign.spec import InstanceSpec
 
-__all__ = [
-    "BACKEND_NAMES",
-    "UnitResult",
-    "WorkUnit",
-    "resolve_backend",
-    "run_work_stealing",
-]
-
-#: Accepted ``--backend`` names.
-BACKEND_NAMES = ("auto", "serial", "mp-pool", "work-stealing")
+__all__ = ["UnitResult", "WorkUnit", "run_work_stealing"]
 
 
 @dataclass(frozen=True)
@@ -77,18 +63,6 @@ class UnitResult:
     payloads: list = field(default_factory=list)
     elapsed: list = field(default_factory=list)
     batched: bool = False
-
-
-def resolve_backend(name: str | None, jobs: int) -> str:
-    """Map a requested backend name (or ``None``) to a concrete one."""
-    name = name or "auto"
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if name == "auto":
-        return "serial" if jobs <= 1 else "mp-pool"
-    return name
 
 
 def _mp_context() -> Any:
@@ -162,10 +136,12 @@ def run_work_stealing(
 
     Results arrive in completion order (the caller merges by
     ``unit_id``).  One job — or one unit — degenerates to the inline
-    serial loop.  On any failure (a worker error, or the consumer
-    raising mid-iteration) every worker is terminated before the
-    exception propagates, so an interrupted campaign never leaves
-    orphans; ``counters['steals']`` is filled in either way.
+    serial loop, in plan order.  A worker error terminates every worker
+    before it re-raises here.  When the consumer raises instead, the
+    workers live until this generator is closed, so a consumer must
+    close it on every exit (``run_campaign`` does, with
+    :func:`contextlib.closing`); ``counters['steals']`` is filled in
+    either way.
     """
     unit_list = list(units)
     workers = max(1, min(int(jobs), len(unit_list)))

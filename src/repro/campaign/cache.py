@@ -13,10 +13,10 @@ Two tiers sit in front of the executor:
   turns repeat warm hits from a disk read + JSON parse into a dict
   copy — the tier every long-lived service and every warm re-render
   hits;
-* the **disk tier**, optionally capped (``disk_cap_bytes``) with
-  deterministic LRU eviction: reads refresh an entry's mtime, so
-  :meth:`prune` drops the least-recently-used files first, ties broken
-  by file name.
+* the **disk tier**, pruned on demand (:meth:`prune`, ``repro cache
+  --prune``) with deterministic LRU eviction: reads refresh an entry's
+  mtime, so :meth:`prune` drops the least-recently-used files first,
+  ties broken by file name.
 
 **Selective salts** — the effective salt of a spec is derived from the
 dependency closure of the modules its execution path reaches
@@ -51,17 +51,17 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "CACHE_FORMAT_VERSION",
-    "DEFAULT_MEMORY_ENTRIES",
+    "MEMORY_ENTRIES",
     "encode_value",
     "decode_value",
 ]
 
 CACHE_FORMAT_VERSION = 1
 
-#: Memory-tier capacity when the caller does not choose one.  Entries
-#: are small decoded dicts (~10 scalars), so the default costs well
-#: under a megabyte while covering every figure grid in one tier.
-DEFAULT_MEMORY_ENTRIES = 512
+#: Memory-tier capacity in entries.  Entries are small decoded dicts
+#: (~10 scalars), so the tier costs well under a megabyte while covering
+#: every figure grid.
+MEMORY_ENTRIES = 512
 
 _NONFINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 
@@ -140,45 +140,28 @@ class ResultCache:
     salt:
         Base code-version salt, mixed with each spec's module-closure
         digest into the effective salt (see module docstring).
-    memory_entries:
-        Memory-tier capacity in entries; ``0`` disables the tier.
-    disk_cap_bytes:
-        Soft cap on the disk tier.  Checked every
-        :data:`PRUNE_CHECK_INTERVAL` puts (a full prune scans the tier),
-        and enforceable on demand via :meth:`prune` / ``repro cache``.
+
+    The memory tier holds up to :data:`MEMORY_ENTRIES` entries; the disk
+    tier grows until :meth:`prune` caps it.
     """
 
-    #: Puts between automatic cap checks (prune scans the whole tier,
-    #: so enforcing on every put would be quadratic).
-    PRUNE_CHECK_INTERVAL = 32
-
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        salt: str = CODE_VERSION,
-        memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        disk_cap_bytes: int | None = None,
-    ):
+    def __init__(self, root: str | Path, *, salt: str = CODE_VERSION):
         self.root = Path(root)
         self.salt = salt
-        self.memory_entries = max(0, int(memory_entries))
-        self.disk_cap_bytes = disk_cap_bytes
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
         self._memory_lock = threading.Lock()
-        self._puts_since_check = 0
         self.root.mkdir(parents=True, exist_ok=True)
 
-    # The executor pickles caches into spawn/fork workers (mp pool,
-    # work-stealing fabric); locks do not pickle and per-child tiers and
-    # counters start fresh — parent-side state is parent-only.
+    # Caches get pickled into worker processes (the service's pool
+    # ships tenant caches with each job); locks do not pickle and
+    # per-child tiers and counters start fresh — parent-side state is
+    # parent-only.
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         state["_memory"] = OrderedDict()
         state["_memory_lock"] = None
         state["stats"] = CacheStats()
-        state["_puts_since_check"] = 0
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -205,8 +188,6 @@ class ResultCache:
     # -- memory tier ---------------------------------------------------------
 
     def _memory_get(self, key: str) -> dict[str, Any] | None:
-        if self.memory_entries <= 0:
-            return None
         with self._memory_lock:
             entry = self._memory.get(key)
             if entry is None:
@@ -215,12 +196,10 @@ class ResultCache:
             return _entry_copy(entry)
 
     def _memory_put(self, key: str, entry: dict[str, Any]) -> None:
-        if self.memory_entries <= 0:
-            return
         with self._memory_lock:
             self._memory[key] = _entry_copy(entry)
             self._memory.move_to_end(key)
-            while len(self._memory) > self.memory_entries:
+            while len(self._memory) > MEMORY_ENTRIES:
                 self._memory.popitem(last=False)
                 self.stats.memory_evictions += 1
 
@@ -239,7 +218,8 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         if (
-            payload.get("version") != CACHE_FORMAT_VERSION
+            not isinstance(payload, dict)
+            or payload.get("version") != CACHE_FORMAT_VERSION
             or payload.get("salt") != salt
             or payload.get("spec") != spec.to_dict()
         ):
@@ -317,11 +297,6 @@ class ResultCache:
         entry: dict[str, Any] = _decode_value(json.loads(text))
         entry["metrics"] = dict(entry.get("metrics", {}))
         self._memory_put(key, entry)
-        if self.disk_cap_bytes is not None:
-            self._puts_since_check += 1
-            if self._puts_since_check >= self.PRUNE_CHECK_INTERVAL:
-                self._puts_since_check = 0
-                self.prune(max_bytes=self.disk_cap_bytes)
         return path
 
     # -- maintenance ---------------------------------------------------------
@@ -358,10 +333,8 @@ class ResultCache:
         oldest first — reads refresh mtime, so recently served entries
         survive.  Evicted entries also leave the memory tier (an entry
         the operator pruned must actually be gone).  Returns the number
-        of files removed.
+        of files removed; no cap at all removes nothing.
         """
-        if max_bytes is None and max_entries is None:
-            max_bytes = self.disk_cap_bytes
         if max_bytes is None and max_entries is None:
             return 0
         entries: list[tuple[int, str, Path, int]] = []

@@ -1,15 +1,15 @@
-"""Parallel, cache-backed execution of campaign spec sets.
+"""Cache-backed execution of campaign spec sets.
 
 :func:`run_campaign` is the engine's entry point: given a sequence of
 :class:`~repro.campaign.spec.InstanceSpec` it
 
 1. serves every spec already present in the (optional) result cache;
-2. fans the misses out over a ``multiprocessing`` pool (``jobs > 1``)
-   or runs them inline (``jobs = 1`` — the bit-for-bit serial
-   reference path, also the automatic fallback when there is at most
-   one miss);
-3. stores fresh results back into the cache and emits per-instance
-   progress events plus aggregate :class:`CampaignStats`.
+2. plans the misses into work units (:func:`plan_units`) and hands
+   every unit to :func:`~repro.campaign.backends.run_work_stealing`,
+   which runs them inline at one job (the bit-for-bit serial reference
+   path) and over the work-stealing fabric above one job;
+3. stores fresh results back into the cache and reports aggregate
+   :class:`CampaignStats`.
 
 Every spec is executed by the pure function :func:`execute_spec`, in
 the parent or in a worker alike, so parallelism can never change a
@@ -27,8 +27,8 @@ simulator work.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import multiprocessing
 import os
 import sys
 import time
@@ -41,16 +41,11 @@ import numpy as np
 
 from repro.bounds.area import area_bound
 from repro.bounds.dag_lp import dag_lower_bound
-from repro.campaign.backends import (
-    UnitResult,
-    WorkUnit,
-    resolve_backend,
-    run_work_stealing,
-)
+from repro.campaign.backends import UnitResult, WorkUnit, run_work_stealing
 from repro.campaign.cache import ResultCache
 from repro.campaign.graph_store import GraphStore
 from repro.campaign.spec import InstanceSpec
-from repro.campaign.telemetry import CampaignEvent, CampaignStats, write_manifest
+from repro.campaign.telemetry import CampaignStats, write_manifest
 from repro.core.heteroprio import heteroprio_schedule
 from repro.core.platform import Platform
 from repro.core.task import Instance
@@ -91,8 +86,6 @@ __all__ = [
 #: per-instance metrics payload in ``dag`` mode.
 RUN_METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
 
-ProgressCallback = Callable[[CampaignEvent], None]
-
 #: Compiled (struct-of-arrays) builders of the tiled factorization
 #: families — the path every campaign spec over a factorization takes.
 COMPILED_FACTORIZATIONS: dict[str, Callable[..., CompiledGraph]] = {
@@ -131,12 +124,6 @@ class CampaignOutcome:
 
     records: list[CampaignRecord]
     stats: CampaignStats
-
-    def metrics_for(self, spec: InstanceSpec) -> dict:
-        for record in self.records:
-            if record.spec == spec:
-                return record.metrics
-        raise KeyError(f"spec not part of this campaign: {spec.label()}")
 
 
 # -- deterministic seeding ----------------------------------------------------
@@ -524,7 +511,8 @@ def plan_units(
     A group of specs sharing a :func:`_batch_key` becomes one batch unit
     (kept whole — it is the steal granularity) once it reaches
     :data:`LOCKSTEP_MIN_ROWS`; everything else becomes one scalar unit
-    per spec, in ascending index order.  Returns ``(units,
+    per spec, in ascending index order; a unit's ``unit_id`` is its
+    position in the returned list.  Returns ``(units,
     fallback_policy, fallback_small)`` — ``fallback_policy`` maps each
     algorithm whose specs have no batch key (every DAG-mode spec) to its
     count, ``fallback_small`` counts specs whose group was too small.
@@ -644,8 +632,6 @@ def run_campaign(
     *,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    progress: ProgressCallback | None = None,
-    backend: str | None = None,
 ) -> CampaignOutcome:
     """Execute a spec set, reading and feeding the result cache.
 
@@ -653,23 +639,13 @@ def run_campaign(
     ----------
     jobs:
         Worker process count; ``1`` runs inline (the serial reference
-        path) and ``None`` means ``os.cpu_count()``.  Results are
-        independent of ``jobs`` — parallelism only changes wall clock.
+        path), more runs the work-stealing fabric, and ``None`` means
+        ``os.cpu_count()``.  Results are independent of ``jobs`` —
+        parallelism only changes wall clock.
     cache:
         Optional :class:`ResultCache`; hits skip execution entirely,
         misses are stored back after execution, and a run manifest is
         written under ``<cache root>/manifests/``.
-    progress:
-        Callback invoked once per finished instance with a
-        :class:`CampaignEvent` (cache hits first, then executions in
-        completion order).
-    backend:
-        Executor backend for the misses — one of
-        :data:`repro.campaign.backends.BACKEND_NAMES`.  ``None``/
-        ``"auto"`` keeps the historical behaviour (``serial`` at one
-        job, ``mp-pool`` otherwise); ``"work-stealing"`` routes every
-        unit through the deque fabric.  Results are bit-identical
-        across backends — only wall clock changes.
     """
     spec_list = list(specs)
     if cache is not None:
@@ -679,28 +655,15 @@ def run_campaign(
     started_wall = time.perf_counter()
     started_at = time.time()
     requested_jobs = os.cpu_count() or 1 if jobs is None else max(1, int(jobs))
-    resolved_backend = resolve_backend(backend, requested_jobs)
     stats = CampaignStats(
-        total=len(spec_list), jobs=requested_jobs, backend=resolved_backend
+        total=len(spec_list),
+        jobs=requested_jobs,
+        backend="serial" if requested_jobs == 1 else "work-stealing",
     )
     tier_before = cache.stats.snapshot() if cache is not None else None
     records: list[CampaignRecord | None] = [None] * len(spec_list)
 
-    def emit(index: int, record: CampaignRecord, done: int) -> None:
-        if progress is not None:
-            progress(
-                CampaignEvent(
-                    index=index,
-                    spec=record.spec,
-                    cached=record.cached,
-                    elapsed_s=record.elapsed_s,
-                    done=done,
-                    total=len(spec_list),
-                )
-            )
-
     # Phase 1: serve cache hits.
-    done = 0
     miss_indices: list[int] = []
     for i, spec in enumerate(spec_list):
         entry = cache.get(spec) if cache is not None else None
@@ -715,8 +678,6 @@ def run_campaign(
             cached=True,
             elapsed_s=float(entry.get("elapsed_s", 0.0)),
         )
-        done += 1
-        emit(i, records[i], done)
 
     # Tier split of the hits just served (cache counters are cumulative
     # per cache object; the delta is this campaign's share).
@@ -725,14 +686,16 @@ def run_campaign(
         stats.disk_hits = cache.stats.disk_hits - tier_before.disk_hits
 
     # Phase 2: plan the misses into work units (lockstep batch groups +
-    # scalar remainder) and run them on the selected backend.
+    # scalar remainder) and run them, inline or over the fabric.
     stats.misses = len(miss_indices)
 
-    def consume(
-        indices: Sequence[int], timed: Iterable[tuple[dict, float]]
-    ) -> None:
-        nonlocal done
-        for i, (metrics, elapsed) in zip(indices, timed):
+    def consume(unit: WorkUnit, result: UnitResult) -> None:
+        if result.batched:
+            stats.batched += len(unit.indices)
+        elif unit.batched:
+            stats.fallback_runtime += len(unit.indices)
+        for j, metrics, elapsed in zip(unit.indices, result.payloads, result.elapsed):
+            i = miss_indices[j]
             stats.executed += 1
             stats.exec_s += elapsed
             if cache is not None:
@@ -743,83 +706,29 @@ def run_campaign(
                 cached=False,
                 elapsed_s=elapsed,
             )
-            done += 1
-            emit(i, records[i], done)
-
-    def consume_unit(unit: WorkUnit, result: UnitResult) -> None:
-        if result.batched:
-            stats.batched += len(unit.indices)
-        elif unit.batched:
-            stats.fallback_runtime += len(unit.indices)
-        consume(
-            [miss_indices[j] for j in unit.indices],
-            zip(result.payloads, result.elapsed),
-        )
 
     if miss_indices:
         miss_specs = [spec_list[i] for i in miss_indices]
         units, by_algorithm, stats.fallback_small = plan_units(miss_specs)
         stats.fallback_by_algorithm = dict(sorted(by_algorithm.items()))
         stats.fallback_policy = sum(by_algorithm.values())
-        if resolved_backend == "work-stealing":
-            unit_by_id = {unit.unit_id: unit for unit in units}
-            counters: dict[str, int] = {}
-            results = run_work_stealing(
+        counters: dict[str, int] = {}
+        # Closed on every exit: when consume raises (a failed cache
+        # write, an interrupt), the exception's traceback would
+        # otherwise keep the suspended generator — and the fabric's
+        # workers — alive.
+        with contextlib.closing(
+            run_work_stealing(
                 units,
                 jobs=requested_jobs,
                 store_root=None if cache is None else str(cache.root / "graphs"),
                 store_salt="" if cache is None else cache.salt,
                 counters=counters,
             )
-            try:
-                for result in results:
-                    consume_unit(unit_by_id[result.unit_id], result)
-            finally:
-                stats.steals = counters.get("steals", 0)
-        elif resolved_backend == "serial":
-            for unit in units:
-                consume_unit(unit, execute_unit(unit))
-        else:  # mp-pool: batches in the parent, scalars over the pool
-            scalar_units = []
-            for unit in units:
-                if unit.batched:
-                    consume_unit(unit, execute_unit(unit))
-                else:
-                    scalar_units.append(unit)
-            effective_jobs = max(1, min(requested_jobs, len(scalar_units)))
-            if scalar_units and effective_jobs == 1:
-                for unit in scalar_units:
-                    consume_unit(unit, execute_unit(unit))
-            elif scalar_units:
-                scalar_specs = [unit.specs[0] for unit in scalar_units]
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
-                )
-                # A few chunks per worker: load balance without paying
-                # IPC per spec.
-                chunk = max(1, len(scalar_specs) // (4 * effective_jobs))
-                # Teardown discipline: ``close()`` + ``join()`` on
-                # success drains the pool cleanly; *any* error —
-                # including a KeyboardInterrupt landing mid-campaign, or
-                # a progress callback raising — terminates the workers
-                # before the exception propagates, so an interrupted
-                # campaign never leaves orphaned processes behind (a
-                # long-lived server owns this pool transitively via
-                # execute_spec_cached callers).
-                pool = ctx.Pool(processes=effective_jobs)
-                try:
-                    consume(
-                        [miss_indices[unit.indices[0]] for unit in scalar_units],
-                        pool.imap(_timed_execute, scalar_specs, chunksize=chunk),
-                    )
-                except BaseException:
-                    pool.terminate()
-                    raise
-                else:
-                    pool.close()
-                finally:
-                    pool.join()
+        ) as results:
+            for result in results:
+                consume(units[result.unit_id], result)
+        stats.steals = counters.get("steals", 0)
 
     stats.wall_s = time.perf_counter() - started_wall
     if cache is not None:

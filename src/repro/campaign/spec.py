@@ -104,10 +104,6 @@ class InstanceSpec:
         """The platform this spec runs on."""
         return Platform(num_cpus=self.num_cpus, num_gpus=self.num_gpus)
 
-    def param_dict(self) -> dict[str, float]:
-        """The extra generator parameters as a mapping."""
-        return dict(self.params)
-
     def with_seed(self, seed: int) -> "InstanceSpec":
         """A copy of this spec with a different workload seed."""
         return replace(self, seed=seed)

@@ -1,12 +1,9 @@
 """Structured telemetry for campaign runs.
 
-Three pieces:
+Two pieces:
 
 * :class:`CampaignStats` — cache hit/miss and timing counters for one
   :func:`~repro.campaign.executor.run_campaign` call;
-* :class:`CampaignEvent` — the per-instance progress record handed to a
-  caller-supplied ``progress`` callback as results arrive (cache hits
-  first, then executed instances in completion order);
 * :func:`write_manifest` — a JSON manifest of the run (campaign id,
   specs, stats) dropped next to the cache so a campaign is auditable
   after the fact.
@@ -26,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.campaign.cache import ResultCache
     from repro.campaign.spec import InstanceSpec
 
-__all__ = ["CampaignStats", "CampaignEvent", "campaign_id", "write_manifest"]
+__all__ = ["CampaignStats", "campaign_id", "write_manifest"]
 
 
 @dataclass
@@ -40,16 +37,17 @@ class CampaignStats:
     made visible.
 
     Cache hits split by tier: ``memory_hits`` + ``disk_hits`` = ``hits``.
-    ``batched`` counts the executed instances that
-    went through the lockstep batch engine; the scalar remainder is
-    broken out by *why* it took the scalar path — ``fallback_policy``
-    (the spec has no lockstep path: every DAG-mode spec, with the
-    per-algorithm attribution in ``fallback_by_algorithm``),
-    ``fallback_small`` (an independent-mode group smaller than
-    ``LOCKSTEP_MIN_ROWS``) and ``fallback_runtime`` (the
-    engine declined at run time, e.g. ragged task counts).  ``backend``
-    names the executor backend that ran the misses and ``steals``
-    counts work-stealing transfers (0 elsewhere).
+    ``batched`` counts the executed instances that went through the
+    lockstep batch engine; the scalar remainder is broken out by the
+    routing rule that kept it scalar — ``fallback_policy`` (the
+    ``dag-mode`` rule: DAG-mode specs always run scalar, attributed per
+    algorithm in ``fallback_by_algorithm``), ``fallback_small`` (the
+    ``below-threshold`` rule: an independent-mode group smaller than
+    ``LOCKSTEP_MIN_ROWS``) and ``fallback_runtime`` (the engine declined
+    at run time, e.g. ragged task counts).  ``backend`` names the path
+    that ran the misses — ``serial`` (inline) at one job,
+    ``work-stealing`` above — and ``steals`` counts work-stealing
+    transfers.
     """
 
     total: int = 0
@@ -113,9 +111,9 @@ class CampaignStats:
                     f"{alg}: {count}"
                     for alg, count in sorted(self.fallback_by_algorithm.items())
                 ) + "]"
-            fallbacks.append(f"{self.fallback_policy} policy-unsupported{detail}")
+            fallbacks.append(f"{self.fallback_policy} dag-mode{detail}")
         if self.fallback_small:
-            fallbacks.append(f"{self.fallback_small} small-group")
+            fallbacks.append(f"{self.fallback_small} below-threshold")
         if self.fallback_runtime:
             fallbacks.append(f"{self.fallback_runtime} runtime")
         if fallbacks:
@@ -136,18 +134,6 @@ class CampaignStats:
             f"sim {self.exec_s:.2f}s, wall {self.wall_s:.2f}s"
             + (f", saved ~{self.cached_s:.2f}s" if self.cached_s > 0 else "")
         )
-
-
-@dataclass(frozen=True)
-class CampaignEvent:
-    """One progress notification: instance *index* finished."""
-
-    index: int
-    spec: "InstanceSpec"
-    cached: bool
-    elapsed_s: float
-    done: int
-    total: int
 
 
 def campaign_id(specs: Sequence["InstanceSpec"], *, salt: str) -> str:

@@ -19,9 +19,12 @@ reassignment is expensive at large N).  The campaign-backed sweeps
 (:mod:`repro.campaign`): results are stored content-addressed under
 ``--cache-dir`` (default ``.repro-cache``), so a warm re-run completes
 without executing a single simulation.  ``--refresh`` clears the cache
-first; ``--no-cache`` disables it for the run; ``--backend`` picks the
-execution fabric (``serial``, ``mp-pool``, ``work-stealing`` — all
-bit-identical at any ``--jobs``).
+first; ``--no-cache`` disables it for the run.  Cache misses run
+inline at ``--jobs 1`` and over the work-stealing fabric
+(:mod:`repro.campaign.backends`) above, bit-identical at any
+``--jobs``.  ``--backend serial`` is a spelling of ``--jobs 1``;
+``--backend auto`` and ``--backend work-stealing`` leave ``--jobs``
+alone.
 
 ``cache`` inspects and maintains the result cache: by default it
 prints entry/byte counts per tier, ``--prune`` evicts least-recently
@@ -57,7 +60,6 @@ import sys
 import time
 from typing import Sequence
 
-from repro.campaign.backends import BACKEND_NAMES as _BACKEND_NAMES
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.workloads import DEFAULT_N_VALUES, FULL_N_VALUES
 
@@ -153,11 +155,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--backend",
-        choices=list(_BACKEND_NAMES),
+        choices=["auto", "serial", "work-stealing"],
         default="auto",
-        help="execution fabric for campaign-backed sweeps: serial, mp-pool, "
-        "or work-stealing (default: auto = serial when --jobs 1, mp-pool "
-        "otherwise; every backend is bit-identical)",
+        help="serial = --jobs 1; auto (default) and work-stealing leave "
+        "--jobs alone (misses run inline at one job, over the "
+        "work-stealing fabric above)",
     )
     campaign.add_argument(
         "--targets",
@@ -328,15 +330,11 @@ def _n_values(args: argparse.Namespace) -> tuple[int, ...]:
 def _run_one(name: str, args: argparse.Namespace, *, cache=None) -> list:
     module = ALL_EXPERIMENTS[name]
     if name in _KERNEL_EXPERIMENTS:
-        kwargs = {
-            "n_values": _n_values(args),
-            "jobs": args.jobs,
-            "cache": cache,
-            "backend": args.backend,
-        }
-        if args.kernel == "all":
-            return module.run_all(**kwargs)
-        return [module.run(args.kernel, **kwargs)]
+        kernels = ("cholesky", "qr", "lu") if args.kernel == "all" else (args.kernel,)
+        return [
+            module.run(kernel, n_values=_n_values(args), jobs=args.jobs, cache=cache)
+            for kernel in kernels
+        ]
     if name == "table2" and args.fast:
         return [module.run(m_cpus=16, granularity=16, k=2)]
     if name == "fig5" and args.fast:
@@ -375,12 +373,7 @@ def _run_campaign_spec(args: argparse.Namespace, cache) -> int:
         groups.setdefault(item.tenant, []).append(item.to_instance_spec())
     for tenant in sorted(groups):
         tenant_cache = None if cache is None else namespaced_cache(cache, tenant)
-        outcome = run_campaign(
-            groups[tenant],
-            jobs=args.jobs,
-            cache=tenant_cache,
-            backend=args.backend,
-        )
+        outcome = run_campaign(groups[tenant], jobs=args.jobs, cache=tenant_cache)
         label = f" [tenant {tenant}]" if tenant else ""
         for record in outcome.records:
             print(
@@ -448,6 +441,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.campaign import ResultCache
+    from repro.campaign.cache import MEMORY_ENTRIES
     from repro.campaign.graph_store import GraphStore
 
     root = Path(args.cache_dir)
@@ -492,7 +486,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     print(
         f"[cache] {root}: {entries} disk entries, {size} bytes "
         f"(salt {cache.salt}; memory tier capacity "
-        f"{cache.memory_entries} entries per process)"
+        f"{MEMORY_ENTRIES} entries per process)"
     )
     for tenant in tenants:
         t_entries, t_size = ResultCache(root / "tenants" / tenant).disk_usage()
@@ -540,6 +534,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def main_dispatch(args: argparse.Namespace) -> int:
     """Dispatch an already-parsed invocation (separated for --profile)."""
+    if args.backend == "serial":
+        args.jobs = 1
     if args.experiment == "list":
         for name, module in sorted(ALL_EXPERIMENTS.items()):
             doc = (module.__doc__ or "").strip().splitlines()[0]

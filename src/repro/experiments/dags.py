@@ -6,9 +6,9 @@ projections of the same runs, so the sweep is computed once and cached
 per process.
 
 The sweep itself routes through the campaign engine
-(:mod:`repro.campaign`): ``jobs`` fans the (N, algorithm) instances
-out over worker processes and ``cache`` adds cross-process reuse via
-the content-addressed on-disk result cache.  Neither changes any
+(:mod:`repro.campaign`): ``jobs`` spreads the (N, algorithm) instances
+over worker processes and ``cache`` adds cross-process reuse via the
+content-addressed on-disk result cache.  Neither changes any
 metric — ``jobs=1`` without a cache is the bit-for-bit serial
 reference path.
 """
@@ -67,16 +67,14 @@ def dag_sweep(
     bound_method: str = "auto",
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
     telemetry: list[CampaignStats] | None = None,
 ) -> dict[tuple[str, int], RunMetrics]:
     """Simulate every (algorithm, N) pair for one kernel family.
 
     Returns a mapping ``(algorithm, N) -> RunMetrics``.  Results are
     memoised per argument combination for the lifetime of the process
-    (``jobs``, ``cache`` and ``backend`` only affect how fresh results
-    are computed, never their values, so they are not part of the memo
-    key); when *telemetry* is given, the run's :class:`CampaignStats`
+    (``jobs`` and ``cache`` only affect how fresh results are computed,
+    never their values, so they are not part of the memo key); when *telemetry* is given, the run's :class:`CampaignStats`
     is appended to it.
     """
     key = (kernel, n_values, algorithms, platform, bound_method)
@@ -93,7 +91,7 @@ def dag_sweep(
         platform=platform,
         bound_method=bound_method,
     )
-    outcome = run_campaign(specs, jobs=jobs, cache=cache, backend=backend)
+    outcome = run_campaign(specs, jobs=jobs, cache=cache)
     results: dict[tuple[str, int], RunMetrics] = {
         (spec.algorithm, spec.size): metrics_to_run_metrics(record.metrics)
         for spec, record in zip(specs, outcome.records)

@@ -25,7 +25,7 @@ from repro.core.platform import Platform
 from repro.experiments.report import ExperimentResult, Series
 from repro.experiments.workloads import DEFAULT_N_VALUES, PAPER_PLATFORM
 
-__all__ = ["run", "run_all", "ALGORITHMS", "sweep_specs"]
+__all__ = ["run", "ALGORITHMS", "sweep_specs"]
 
 ALGORITHMS = ("heteroprio", "dualhp", "heft")
 
@@ -59,11 +59,10 @@ def run(
     platform: Platform = PAPER_PLATFORM,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
 ) -> ExperimentResult:
     """Reproduce one panel of Figure 6 (one kernel family)."""
     specs = sweep_specs(kernel, n_values=n_values, platform=platform)
-    outcome = run_campaign(specs, jobs=jobs, cache=cache, backend=backend)
+    outcome = run_campaign(specs, jobs=jobs, cache=cache)
     ratios: dict[str, list[float]] = {name: [] for name in ALGORITHMS}
     for spec, record in zip(specs, outcome.records):
         ratios[spec.algorithm].append(record.metrics["ratio"])
@@ -81,25 +80,3 @@ def run(
         },
     )
     return result
-
-
-def run_all(
-    *,
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES,
-    platform: Platform = PAPER_PLATFORM,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: str | None = None,
-) -> list[ExperimentResult]:
-    """All three panels (Cholesky, QR, LU) of Figure 6."""
-    return [
-        run(
-            kernel,
-            n_values=n_values,
-            platform=platform,
-            jobs=jobs,
-            cache=cache,
-            backend=backend,
-        )
-        for kernel in ("cholesky", "qr", "lu")
-    ]

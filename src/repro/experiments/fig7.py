@@ -21,7 +21,7 @@ from repro.experiments.report import ExperimentResult, Series
 from repro.experiments.workloads import DEFAULT_N_VALUES, PAPER_PLATFORM
 from repro.schedulers.online import PAPER_ALGORITHMS
 
-__all__ = ["run", "run_all"]
+__all__ = ["run"]
 
 
 def run(
@@ -32,7 +32,6 @@ def run(
     platform: Platform = PAPER_PLATFORM,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
 ) -> ExperimentResult:
     """Reproduce one panel of Figure 7 (one kernel family)."""
     telemetry: list[CampaignStats] = []
@@ -43,7 +42,6 @@ def run(
         platform=platform,
         jobs=jobs,
         cache=cache,
-        backend=backend,
         telemetry=telemetry,
     )
     series = [
@@ -70,27 +68,3 @@ def run(
         f"worst-case HeteroPrio ratio across this sweep: {best_mid:.3f}"
     )
     return result
-
-
-def run_all(
-    *,
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES,
-    algorithms: tuple[str, ...] = PAPER_ALGORITHMS,
-    platform: Platform = PAPER_PLATFORM,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: str | None = None,
-) -> list[ExperimentResult]:
-    """All three panels (Cholesky, QR, LU) of Figure 7."""
-    return [
-        run(
-            kernel,
-            n_values=n_values,
-            algorithms=algorithms,
-            platform=platform,
-            jobs=jobs,
-            cache=cache,
-            backend=backend,
-        )
-        for kernel in ("cholesky", "qr", "lu")
-    ]

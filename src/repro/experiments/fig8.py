@@ -18,7 +18,7 @@ from repro.experiments.report import ExperimentResult, Series
 from repro.experiments.workloads import DEFAULT_N_VALUES, PAPER_PLATFORM
 from repro.schedulers.online import PAPER_ALGORITHMS
 
-__all__ = ["run", "run_all"]
+__all__ = ["run"]
 
 
 def run(
@@ -29,7 +29,6 @@ def run(
     platform: Platform = PAPER_PLATFORM,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
 ) -> ExperimentResult:
     """Reproduce one panel pair (CPU, GPU) of Figure 8."""
     metrics = dag_sweep(
@@ -39,7 +38,6 @@ def run(
         platform=platform,
         jobs=jobs,
         cache=cache,
-        backend=backend,
     )
     series: list[Series] = []
     for name in algorithms:
@@ -64,27 +62,3 @@ def run(
         series=series,
         data={"kernel": kernel, "metrics": metrics},
     )
-
-
-def run_all(
-    *,
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES,
-    algorithms: tuple[str, ...] = PAPER_ALGORITHMS,
-    platform: Platform = PAPER_PLATFORM,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: str | None = None,
-) -> list[ExperimentResult]:
-    """All three kernel families of Figure 8."""
-    return [
-        run(
-            kernel,
-            n_values=n_values,
-            algorithms=algorithms,
-            platform=platform,
-            jobs=jobs,
-            cache=cache,
-            backend=backend,
-        )
-        for kernel in ("cholesky", "qr", "lu")
-    ]

@@ -113,8 +113,9 @@ class Dispatcher:
             "prefetched": 0,
             "errors": 0,
         }
-        #: Per-algorithm counts of prefetch misses with no lockstep path
-        #: (they stay cold until requested through the scalar path).
+        #: Per-algorithm counts of prefetch misses the ``dag-mode``
+        #: routing rule keeps scalar (they stay cold until requested
+        #: through the scalar path).
         self.prefetch_fallbacks: dict[str, int] = {}
 
     # -- caches --------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Tests for the pluggable campaign backends (repro.campaign.backends).
+"""Tests for the campaign's execution path (repro.campaign.backends).
 
-The load-bearing property is bit-identity: every backend, at every
-worker count, must produce byte-for-byte the metrics of the serial
-reference path.  The work-stealing fabric additionally must keep batch
-groups whole, steal deterministically, and tear its workers down on any
+The load-bearing property is bit-identity: the work-stealing fabric, at
+every worker count, must produce byte-for-byte the metrics of the
+inline serial reference path.  It additionally must keep batch groups
+whole, steal deterministically, and tear its workers down on any
 failure.
 """
 
@@ -16,13 +16,7 @@ import pytest
 
 from repro import io
 from repro.campaign import InstanceSpec, run_campaign
-from repro.campaign.backends import (
-    BACKEND_NAMES,
-    WorkUnit,
-    _steal,
-    resolve_backend,
-    run_work_stealing,
-)
+from repro.campaign.backends import WorkUnit, _steal, run_work_stealing
 from repro.campaign.cache import encode_value
 from repro.campaign.executor import (
     LOCKSTEP_MIN_ROWS,
@@ -54,24 +48,6 @@ def fig7_specs() -> list[InstanceSpec]:
         for n in (4, 5)
         for name in ("heteroprio-avg", "heteroprio-min", "heft-avg")
     ]
-
-
-class TestResolveBackend:
-    def test_auto_keeps_the_historical_mapping(self):
-        assert resolve_backend(None, 1) == "serial"
-        assert resolve_backend("auto", 1) == "serial"
-        assert resolve_backend(None, 4) == "mp-pool"
-        assert resolve_backend("auto", 8) == "mp-pool"
-
-    def test_explicit_names_pass_through(self):
-        for name in ("serial", "mp-pool", "work-stealing"):
-            assert resolve_backend(name, 1) == name
-            assert resolve_backend(name, 8) == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("threads", 2)
-        assert "auto" in BACKEND_NAMES
 
 
 def seed_sweep(algorithm: str, rows: int) -> list[InstanceSpec]:
@@ -264,21 +240,11 @@ class TestRunCampaignBackends:
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     def test_work_stealing_bit_identical_to_serial(self, grid, jobs):
         specs = grid()
-        serial = run_campaign(specs, jobs=1, backend="serial")
-        ws = run_campaign(specs, jobs=jobs, backend="work-stealing")
-        assert ws.stats.backend == "work-stealing"
-        assert serial.stats.backend == "serial"
-        for a, b in zip(serial.records, ws.records):
-            assert a.spec == b.spec
-            assert canon(a.metrics) == canon(b.metrics)
-
-    def test_mp_pool_backend_matches_serial(self):
-        specs = fig7_specs()
-        serial = run_campaign(specs, jobs=1, backend="serial")
-        pool = run_campaign(specs, jobs=2, backend="mp-pool")
-        assert pool.stats.backend == "mp-pool"
-        for a, b in zip(serial.records, pool.records):
-            assert canon(a.metrics) == canon(b.metrics)
+        reference = [canon(execute_spec(spec)) for spec in specs]
+        outcome = run_campaign(specs, jobs=jobs)
+        assert outcome.stats.backend == ("serial" if jobs == 1 else "work-stealing")
+        assert [r.spec for r in outcome.records] == specs
+        assert [canon(r.metrics) for r in outcome.records] == reference
 
     def test_stats_count_fallback_reasons(self):
         # DAG specs have no lockstep path; a full independent group
@@ -288,7 +254,7 @@ class TestRunCampaignBackends:
             + seed_sweep("dualhp", LOCKSTEP_MIN_ROWS)
             + seed_sweep("heteroprio", 2)
         )
-        outcome = run_campaign(specs, jobs=1, backend="serial")
+        outcome = run_campaign(specs, jobs=1)
         stats = outcome.stats
         assert stats.batched == LOCKSTEP_MIN_ROWS
         assert stats.fallback_policy == 6
@@ -298,8 +264,8 @@ class TestRunCampaignBackends:
         assert stats.fallback_small == 2
         summary = stats.summary()
         assert f"{LOCKSTEP_MIN_ROWS} batched" in summary
-        assert "6 policy-unsupported [heft-avg: 2" in summary
-        assert "2 small-group" in summary
+        assert "6 dag-mode [heft-avg: 2" in summary
+        assert "2 below-threshold" in summary
         assert "[serial]" in summary
         # The batched rows carry the scalar path's exact payloads.
         for record in outcome.records[len(fig7_specs()):][:LOCKSTEP_MIN_ROWS]:
@@ -309,10 +275,6 @@ class TestRunCampaignBackends:
         # The fig6/fig7 grids' groups hold at most three rows, so nothing
         # on them reaches the lockstep engine.
         for grid in (fig6_specs, fig7_specs):
-            stats = run_campaign(grid(), jobs=1, backend="serial").stats
+            stats = run_campaign(grid(), jobs=1).stats
             assert stats.batched == 0, grid.__name__
             assert stats.executed == len(grid()), grid.__name__
-
-    def test_unknown_backend_rejected_up_front(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_campaign(fig7_specs()[:1], jobs=1, backend="threads")

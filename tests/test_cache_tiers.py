@@ -14,8 +14,8 @@ import pickle
 
 import pytest
 
-from repro.campaign import InstanceSpec, ResultCache
-from repro.campaign.cache import DEFAULT_MEMORY_ENTRIES
+from repro.campaign import InstanceSpec, ResultCache, run_campaign
+from repro.campaign import cache as cache_mod
 
 
 def spec(n: int) -> InstanceSpec:
@@ -60,8 +60,9 @@ class TestMemoryTier:
         cache.get(spec(4))["metrics"]["makespan"] = -999.0
         assert cache.get(spec(4))["metrics"]["makespan"] == 1.0
 
-    def test_lru_eviction_and_counter(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=2)
+    def test_lru_eviction_and_counter(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 2)
+        cache = ResultCache(tmp_path)
         for n in (4, 5, 6):
             cache.put(spec(n), {"makespan": float(n)})
         assert cache.stats.memory_evictions == 1
@@ -71,8 +72,9 @@ class TestMemoryTier:
         assert cache.get(spec(6)) is not None  # resident -> memory
         assert cache.stats.memory_hits == 1
 
-    def test_access_refreshes_recency(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=2)
+    def test_access_refreshes_recency(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_mod, "MEMORY_ENTRIES", 2)
+        cache = ResultCache(tmp_path)
         cache.put(spec(4), {"makespan": 4.0})
         cache.put(spec(5), {"makespan": 5.0})
         cache.get(spec(4))  # 4 is now most recent; 5 is LRU
@@ -81,15 +83,12 @@ class TestMemoryTier:
         cache.get(spec(4))
         assert cache.stats.disk_hits == disk_before  # still in memory
 
-    def test_zero_capacity_disables_the_tier(self, tmp_path):
-        cache = ResultCache(tmp_path, memory_entries=0)
-        cache.put(spec(4), {"makespan": 1.0})
-        assert cache.get(spec(4)) is not None
-        assert cache.stats.memory_hits == 0
-        assert cache.stats.disk_hits == 1
-
     def test_default_capacity(self, tmp_path):
-        assert ResultCache(tmp_path).memory_entries == DEFAULT_MEMORY_ENTRIES
+        assert cache_mod.MEMORY_ENTRIES == 512
+        cache = ResultCache(tmp_path)
+        for n in range(1, cache_mod.MEMORY_ENTRIES + 2):
+            cache.put(spec(n), {"makespan": float(n)})
+        assert cache.stats.memory_evictions == 1
 
 
 class TestPickling:
@@ -139,16 +138,35 @@ class TestPrune:
         assert cache.prune(max_entries=10, max_bytes=10**9) == 0
         assert cache.prune() == 0  # no caps configured at all
 
-    def test_disk_cap_auto_prunes_on_put(self, tmp_path):
-        cache = ResultCache(tmp_path, disk_cap_bytes=1)
-        cache.PRUNE_CHECK_INTERVAL = 4
-        for n in range(4, 12):
-            cache.put(spec(n), {"makespan": float(n)})
-        entries, _ = cache.disk_usage()
-        # Two auto-prunes fired (8 puts / interval 4); the tier cannot
-        # exceed one interval's worth of un-checked puts.
-        assert entries <= 4
-        assert cache.stats.disk_evictions >= 4
+
+class TestNonObjectEntries:
+    """A disk entry that parses as JSON but is not an object is a miss."""
+
+    BODIES = ["[]", "null", '"x"', "7"]
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_get_counts_a_miss(self, tmp_path, body):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for(spec(4))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+        assert cache.get(spec(4)) is None
+        assert cache.stats.misses == 1
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_campaign_recomputes_and_overwrites(self, tmp_path, body):
+        cache = ResultCache(tmp_path)
+        target = InstanceSpec(workload="cholesky", size=4, algorithm="heft-avg")
+        path = cache.path_for(target)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(body)
+        outcome = run_campaign([target], jobs=1, cache=cache)
+        assert outcome.stats.executed == 1
+        assert path.read_text() != body
+        fresh = ResultCache(tmp_path)
+        entry = fresh.get(target)
+        assert entry is not None and fresh.stats.disk_hits == 1
+        assert entry["metrics"]["makespan"] == outcome.records[0].metrics["makespan"]
 
 
 class TestGc:

@@ -263,17 +263,6 @@ class TestRunCampaign:
         back = run_campaign(specs, jobs=1, cache=ResultCache(tmp_path, salt="v1"))
         assert back.stats.hits == len(specs)
 
-    def test_progress_events_cover_every_instance(self, tmp_path):
-        specs = small_specs()[:4]
-        events = []
-        run_campaign(specs, jobs=1, cache=ResultCache(tmp_path), progress=events.append)
-        assert [e.done for e in events] == [1, 2, 3, 4]
-        assert {e.spec for e in events} == set(specs)
-        assert all(e.total == 4 for e in events)
-        events.clear()
-        run_campaign(specs, jobs=1, cache=ResultCache(tmp_path), progress=events.append)
-        assert all(e.cached for e in events)
-
     def test_manifest_written_next_to_cache(self, tmp_path):
         specs = small_specs()[:2]
         cache = ResultCache(tmp_path)
@@ -353,6 +342,35 @@ class TestCampaignCli:
         assert main(["campaign", "--targets", "table1"]) == 2
         assert "unknown campaign targets" in capsys.readouterr().err
 
+    def test_backend_serial_means_one_job(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = [
+            "campaign", "--targets", "fig6", "--kernel", "qr", "--fast",
+            "--cache-dir", str(tmp_path), "--backend", "serial",
+        ]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "on 1 worker(s) [serial]" in err
+
+    def test_default_backend_runs_the_fabric_above_one_job(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = [
+            "campaign", "--targets", "fig6", "--kernel", "qr", "--fast",
+            "--cache-dir", str(tmp_path), "--jobs", "2",
+        ]
+        assert main(argv) == 0
+        assert "on 2 worker(s) [work-stealing" in capsys.readouterr().err
+
+    def test_mp_pool_backend_is_rejected(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--backend", "mp-pool", "--no-cache"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_jobs_flag_accepted_on_figures(self, capsys):
         from repro.cli import main
 
@@ -409,12 +427,20 @@ class TestPoolTeardown:
             run_campaign(small_specs()[:4], jobs=2)
         assert multiprocessing.active_children() == []
 
-    def test_keyboard_interrupt_in_progress_callback_reaps_the_pool(self):
+    def test_keyboard_interrupt_in_cache_put_reaps_the_workers(
+        self, tmp_path, monkeypatch
+    ):
         import multiprocessing
 
-        def interrupt(event):
+        def interrupt(self, spec, metrics, *, elapsed_s=0.0):
             raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(small_specs()[:4], jobs=2, progress=interrupt)
+        # The parent raises while consuming the fabric's first result.
+        # The traceback held by excinfo references run_campaign's frame,
+        # so only an explicit close of the result iterator reaps the
+        # workers here.
+        monkeypatch.setattr(ResultCache, "put", interrupt)
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            run_campaign(small_specs()[:4], jobs=2, cache=ResultCache(tmp_path))
+        assert excinfo.traceback
         assert multiprocessing.active_children() == []
