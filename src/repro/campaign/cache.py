@@ -104,6 +104,27 @@ def _spec_key(spec: InstanceSpec, salt: str) -> str:
     return spec.spec_hash(salt=salt)
 
 
+def _decoded_body(payload: dict[str, Any]) -> dict[str, Any] | None:
+    """The decoded entry of a parsed file, or ``None`` if its body is malformed.
+
+    A well-formed body decodes, its ``metrics`` to a dict and its
+    ``elapsed_s`` to a number; any other entry is a miss for
+    :meth:`ResultCache.get` and garbage for :meth:`ResultCache.gc`.
+    """
+    try:
+        entry: dict[str, Any] = _decode_value(payload)
+    except (KeyError, TypeError):  # an unknown or unhashable "$float" tag
+        return None
+    elapsed = entry.get("elapsed_s")
+    if (
+        not isinstance(entry.get("metrics"), dict)
+        or isinstance(elapsed, bool)
+        or not isinstance(elapsed, (int, float))
+    ):
+        return None
+    return entry
+
+
 def _entry_copy(entry: dict[str, Any]) -> dict[str, Any]:
     """A mutation-safe copy of a cached entry (metrics re-dicted)."""
     copied = dict(entry)
@@ -224,17 +245,16 @@ class ResultCache:
             or payload.get("spec") != spec.to_dict()
         ):
             return None
-        entry: dict[str, Any] = _decode_value(payload)
-        entry["metrics"] = dict(entry.get("metrics", {}))
-        return entry
+        return _decoded_body(payload)
 
     def get(self, spec: InstanceSpec) -> dict[str, Any] | None:
         """The stored entry for *spec*, or ``None`` on a miss.
 
         Lookup order: memory tier, then disk tier (a read refreshes the
-        LRU mtime and feeds the memory tier).  Corrupt or mismatched
-        entries (wrong salt, wrong spec) count as misses rather than
-        errors; the executor recomputes and overwrites them.
+        LRU mtime and feeds the memory tier).  Corrupt, malformed or
+        mismatched entries (wrong salt, wrong spec, a ``metrics`` that is
+        not an object) count as misses rather than errors; the executor
+        recomputes and overwrites them.
         """
         effective = self.salt_for(spec)
         key = _spec_key(spec, effective)
@@ -377,9 +397,9 @@ class ResultCache:
         """Drop entries no longer readable under the current salts.
 
         Keeps entries stored under their current effective salt; removes
-        everything else — foreign salts, superseded closures, corrupt
-        files, entries filed under the wrong name.  Returns the number
-        of files removed.
+        everything else — foreign salts, superseded closures, corrupt or
+        malformed files, entries filed under the wrong name.  Returns the
+        number of files removed.
         """
         removed = 0
         for path in list(self.iter_paths()):
@@ -399,6 +419,7 @@ class ResultCache:
         if (
             not isinstance(payload, dict)
             or payload.get("version") != CACHE_FORMAT_VERSION
+            or _decoded_body(payload) is None
         ):
             return False
         try:

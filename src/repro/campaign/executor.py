@@ -18,11 +18,11 @@ seeds of random workloads are derived up front
 (:func:`derive_seeds`, ``numpy.random.SeedSequence.spawn`` semantics)
 rather than drawn from shared state.
 
-Within one process, workload graphs and dependency-aware lower bounds
-are memoised: consecutive specs that share a (workload, size, seed)
-reuse the graph and its bound exactly like the legacy hand-rolled
-sweeps did, so routing an experiment through the engine costs no extra
-simulator work.
+Within one process, workload graphs and lower bounds are memoised:
+consecutive specs that share a (workload, size, seed) reuse the graph
+and its bound exactly like the legacy hand-rolled sweeps did, so
+routing an experiment through the engine costs no extra simulator
+work.
 """
 
 from __future__ import annotations
@@ -48,14 +48,12 @@ from repro.campaign.spec import InstanceSpec
 from repro.campaign.telemetry import CampaignStats, write_manifest
 from repro.core.heteroprio import heteroprio_schedule
 from repro.core.platform import Platform
-from repro.core.task import Instance
 from repro.dag.compiled import CompiledGraph
-from repro.dag.graph import TaskGraph
 from repro.dag.cholesky import cholesky_compiled
 from repro.dag.lu import lu_compiled
 from repro.dag.priorities import assign_priorities
 from repro.dag.qr import qr_compiled
-from repro.dag.random_graphs import layered_random_graph, random_chain_graph
+from repro.dag.random_graphs import layered_random_compiled, random_chain_compiled
 from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
@@ -94,13 +92,13 @@ COMPILED_FACTORIZATIONS: dict[str, Callable[..., CompiledGraph]] = {
     "lu": lu_compiled,
 }
 
-#: Seeded random family generators by name.  Like every dispatch table
-#: here it maps straight to the function: :func:`spec_roots` reads the
-#: function's module, and perfbench's tracer rebinds module globals and
-#: dict values (never tuple members or partials) to wrap it.
-RANDOM_FAMILIES: dict[str, Callable[..., TaskGraph]] = {
-    "layered": layered_random_graph,
-    "chains": random_chain_graph,
+#: Compiled builders of the seeded random families, by name.  Like every
+#: dispatch table here it maps straight to the function: :func:`spec_roots`
+#: reads the function's module, and perfbench's tracer rebinds module
+#: globals and dict values (never tuple members or partials) to wrap it.
+RANDOM_FAMILIES: dict[str, Callable[..., CompiledGraph]] = {
+    "layered": layered_random_compiled,
+    "chains": random_chain_compiled,
 }
 
 #: The ``params`` key of each random family's second shape argument
@@ -197,25 +195,26 @@ def _campaign_graph(
     size: int,
     seed: int | None,
     params: tuple[tuple[str, float], ...],
-) -> TaskGraph | CompiledGraph:
-    """The graph behind one spec: compiled for factorizations, dict otherwise.
+) -> CompiledGraph:
+    """The compiled graph behind one spec, for every workload.
 
-    The random families stay on the tracker path — their generators are
-    seeded per spec, so there is nothing to share across workers.
+    Factorizations go through the graph store; the random families are
+    seeded per spec, so there is nothing to share across workers and
+    their graphs stay in this process's memo.
     """
     if workload in COMPILED_FACTORIZATIONS:
         return _compiled_workload(workload, size)
-    return _workload_graph(workload, size, seed, params)
+    return _random_workload(workload, size, seed, params)
 
 
 @lru_cache(maxsize=8)
-def _workload_graph(
+def _random_workload(
     workload: str,
     size: int,
     seed: int | None,
     params: tuple[tuple[str, float], ...],
-) -> TaskGraph:
-    """Build (and memoise per process) one random family's task graph."""
+) -> CompiledGraph:
+    """Build (and memoise per process) one random family's compiled graph."""
     try:
         generator = RANDOM_FAMILIES[workload]
     except KeyError:
@@ -239,13 +238,30 @@ def _dag_bound(
     method: str,
 ) -> float:
     """Memoised dependency-aware lower bound (priority-independent)."""
-    graph = _campaign_graph(workload, size, seed, params)
-    if isinstance(graph, CompiledGraph):
-        # The LP bound iterates ``edges()``; the materialized view lists
-        # them in tracker discovery order, so its rows are bit-identical.
-        graph = graph.as_task_graph()
+    # The LP bound iterates ``edges()``; the materialized view lists them
+    # in the generator's discovery order, so its rows are bit-identical.
+    graph = _campaign_graph(workload, size, seed, params).as_task_graph()
     platform = Platform(num_cpus=num_cpus, num_gpus=num_gpus)
     return dag_lower_bound(graph, platform, method=method)
+
+
+@lru_cache(maxsize=256)
+def _area_bound(
+    workload: str,
+    size: int,
+    seed: int | None,
+    params: tuple[tuple[str, float], ...],
+    num_cpus: int,
+    num_gpus: int,
+) -> float:
+    """Memoised area bound of one independent-mode instance.
+
+    Sized for the largest lockstep group, so the algorithm groups of one
+    seed sweep share each seed's bound.
+    """
+    graph = _campaign_graph(workload, size, seed, params)
+    platform = Platform(num_cpus=num_cpus, num_gpus=num_gpus)
+    return area_bound(graph.to_instance(), platform).value
 
 
 #: ``independent``-mode schedulers, plus the keyword options the
@@ -291,7 +307,14 @@ def execute_spec(spec: InstanceSpec) -> dict:
         # so the payload is a pure function of the spec.
         for task in instance:
             task.priority = 0.0
-        bound = area_bound(instance, platform).value
+        bound = _area_bound(
+            spec.workload,
+            spec.size,
+            spec.seed,
+            spec.params,
+            spec.num_cpus,
+            spec.num_gpus,
+        )
         options = _SCHEDULER_OPTIONS.get(spec.algorithm, {})
         makespan = scheduler(instance, platform, **options).makespan
         return {
@@ -330,20 +353,23 @@ def metrics_to_run_metrics(metrics: dict) -> RunMetrics:
 #: candidates; DAG-mode specs always take the scalar path.  Measured by
 #: ``benchmarks/bench_lockstep_crossover.py`` as ``execute_spec_batch``
 #: time over per-spec ``execute_spec`` time on seeded ``layered`` rows
-#: (median of 3 interleaved repeats, 2-vCPU VM):
+#: (per cell, the median of 3 runs of the median of 3 interleaved
+#: repeats, 2-vCPU VM):
 #:
 #:     64 tasks      B=1   B=2   B=4   B=8  B=16  B=32  B=64
-#:     heteroprio   4.04  2.41  1.51  1.07  0.77  0.57  0.51
-#:     heft         1.66  1.06  0.81  0.67  0.62  0.57  0.56
-#:     dualhp       8.51  5.69  3.61  2.23  1.56  1.02  0.86
+#:     heteroprio   4.56  2.46  1.69  1.01  0.71  0.52  0.41
+#:     heft         1.82  1.10  0.76  0.56  0.46  0.45  0.40
+#:     dualhp      10.08  6.69  4.26  2.57  1.68  1.12  0.85
 #:     256 tasks
-#:     heteroprio   4.25  2.06  1.53  1.00  0.96  0.75  0.77
-#:     heft         1.54  1.20  0.96  0.74  0.72  0.72  0.66
-#:     dualhp       8.13  4.43  2.54  1.92  1.29  0.89  0.85
+#:     heteroprio   7.10  4.16  2.24  1.29  0.71  0.69  0.48
+#:     heft         2.42  1.44  0.90  0.62  0.51  0.39  0.36
+#:     dualhp      12.75  6.63  3.37  2.03  1.22  0.76  0.58
 #:
-#: 32 rows is the smallest size tried at which none of the three loses:
-#: HeteroPrio and HEFT win on both sizes and DualHP breaks even.  Serve's
-#: 4-row groups run scalar, the 64/128-row seed sweeps in lockstep.
+#: 32 rows is the smallest size tried at which HeteroPrio and HEFT win
+#: on both sizes and DualHP wins at 256 tasks; at 64 tasks DualHP's
+#: B=32 cell is break-even within its run-to-run spread (0.95-2.08).
+#: Serve's 4-row groups run scalar, the 64/128-row seed sweeps in
+#: lockstep.
 LOCKSTEP_MIN_ROWS = 32
 
 #: Lockstep entries of the independent-mode (Figure 6) schedulers.
@@ -390,24 +416,32 @@ def execute_spec_batch(specs: Sequence[InstanceSpec]) -> list[dict] | None:
     keys = {_batch_key(spec) for spec in specs}
     if None in keys or len(keys) != 1:
         return None
-    instances = []
+    cpu_rows: list[np.ndarray] = []
+    gpu_rows: list[np.ndarray] = []
+    bounds: list[float] = []
     for spec in specs:
         graph = _campaign_graph(spec.workload, spec.size, spec.seed, spec.params)
-        tasks = tuple(graph.to_instance())
-        # Same reset as execute_spec: priorities break acceleration ties.
-        for task in tasks:
-            task.priority = 0.0
-        instances.append(tasks)
-    n = len(instances[0])
-    if any(len(tasks) != n for tasks in instances):
-        return None  # ragged task counts: fall back to the scalar path
-    cpu = np.array([[t.cpu_time for t in tasks] for tasks in instances])
-    gpu = np.array([[t.gpu_time for t in tasks] for tasks in instances])
+        if cpu_rows and len(graph) != len(cpu_rows[0]):
+            return None  # ragged task counts: fall back to the scalar path
+        cpu_rows.append(graph.cpu_times)
+        gpu_rows.append(graph.gpu_times)
+        # While the graph is still in the memo a bound miss reuses it.
+        bounds.append(
+            _area_bound(
+                spec.workload,
+                spec.size,
+                spec.seed,
+                spec.params,
+                spec.num_cpus,
+                spec.num_gpus,
+            )
+        )
     batch_scheduler = _BATCH_INDEPENDENT_SCHEDULERS[specs[0].algorithm]
-    result = batch_scheduler(cpu, gpu, [s.platform for s in specs])
+    result = batch_scheduler(
+        np.stack(cpu_rows), np.stack(gpu_rows), [s.platform for s in specs]
+    )
     payloads = []
-    for i, spec in enumerate(specs):
-        bound = area_bound(Instance(instances[i]), spec.platform).value
+    for i, bound in enumerate(bounds):
         makespan = float(result.makespans[i])
         payloads.append(
             {

@@ -16,6 +16,11 @@ to the pre-PR behaviour.
 The DualHP section keeps the offline and online DualHP searches as
 they stood before they became feasibility-only;
 ``tests/test_dualhp_oracle.py`` compares the live searches against it.
+
+The random-graph section keeps the scalar ``layered`` and ``chains``
+generators as they stood before they emitted compiled graphs;
+``tests/test_random_graphs_compiled.py`` compares the block-drawn
+generators against them.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from repro.bounds.simple import makespan_lower_bound
 from repro.core.heteroprio import _queue_key, sorted_queue
@@ -49,6 +56,8 @@ __all__ = [
     "ReferenceDualHPPolicy",
     "reference_dualhp_try",
     "reference_dualhp_schedule",
+    "reference_layered_random_graph",
+    "reference_random_chain_graph",
 ]
 
 
@@ -745,3 +754,104 @@ class ReferenceDualHPPolicy(OnlinePolicy):
                 return None
             assignment[task] = ResourceKind.CPU
         return assignment
+
+
+# -- Random graphs (pre compiled generators) -----------------------------------
+#
+# Verbatim snapshots of ``repro.dag.random_graphs`` (``_random_task``,
+# ``layered_random_graph``, ``random_chain_graph``) as they stood before
+# the generators drew their random streams in blocks and emitted
+# ``CompiledGraph``s.
+
+
+def _reference_random_task(
+    rng: np.random.Generator,
+    index: int,
+    *,
+    cpu_range: tuple[float, float],
+    accel_range: tuple[float, float],
+) -> Task:
+    p = float(rng.uniform(*cpu_range))
+    rho = float(np.exp(rng.uniform(np.log(accel_range[0]), np.log(accel_range[1]))))
+    return Task(cpu_time=p, gpu_time=p / rho, name=f"rnd{index}", kind="RND")
+
+
+def reference_layered_random_graph(
+    n_layers: int,
+    layer_width: int,
+    rng: np.random.Generator,
+    *,
+    edge_probability: float = 0.3,
+    cpu_range: tuple[float, float] = (0.5, 2.0),
+    accel_range: tuple[float, float] = (0.2, 30.0),
+) -> TaskGraph:
+    """A DAG of ``n_layers`` layers of ``layer_width`` random tasks.
+
+    Each task of layer ``l+1`` depends on every task of layer ``l``
+    selected with probability *edge_probability* (at least one, to keep
+    layers meaningful).  Acceleration factors are log-uniform over
+    *accel_range*, mimicking the wide spread of Table 1.
+    """
+    if n_layers < 1 or layer_width < 1:
+        raise ValueError("n_layers and layer_width must be >= 1")
+    if not 0.0 <= edge_probability <= 1.0:
+        raise ValueError("edge_probability must lie in [0, 1]")
+
+    graph = TaskGraph(name=f"layered-{n_layers}x{layer_width}")
+    index = 0
+    previous: list[Task] = []
+    for _ in range(n_layers):
+        layer: list[Task] = []
+        for _ in range(layer_width):
+            task = _reference_random_task(
+                rng, index, cpu_range=cpu_range, accel_range=accel_range
+            )
+            index += 1
+            graph.add_task(task)
+            layer.append(task)
+            if previous:
+                picks = [p for p in previous if rng.random() < edge_probability]
+                if not picks:
+                    picks = [previous[int(rng.integers(len(previous)))]]
+                for pred in picks:
+                    graph.add_edge(pred, task)
+        previous = layer
+    return graph
+
+
+def reference_random_chain_graph(
+    n_chains: int,
+    chain_length: int,
+    rng: np.random.Generator,
+    *,
+    cross_probability: float = 0.1,
+    cpu_range: tuple[float, float] = (0.5, 2.0),
+    accel_range: tuple[float, float] = (0.2, 30.0),
+) -> TaskGraph:
+    """Parallel chains with sparse cross-chain edges (critical-path heavy)."""
+    if n_chains < 1 or chain_length < 1:
+        raise ValueError("n_chains and chain_length must be >= 1")
+
+    graph = TaskGraph(name=f"chains-{n_chains}x{chain_length}")
+    chains: list[list[Task]] = []
+    index = 0
+    for _ in range(n_chains):
+        chain: list[Task] = []
+        for pos in range(chain_length):
+            task = _reference_random_task(
+                rng, index, cpu_range=cpu_range, accel_range=accel_range
+            )
+            index += 1
+            graph.add_task(task)
+            if pos > 0:
+                graph.add_edge(chain[-1], task)
+            chain.append(task)
+        chains.append(chain)
+    # Sparse forward cross links between chains (kept acyclic by indexing).
+    for c, chain in enumerate(chains):
+        for pos, task in enumerate(chain[:-1]):
+            if rng.random() < cross_probability:
+                other = int(rng.integers(n_chains))
+                if other != c:
+                    graph.add_edge(task, chains[other][pos + 1])
+    return graph

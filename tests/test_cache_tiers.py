@@ -9,8 +9,10 @@ deterministic and keep the two tiers consistent.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -139,30 +141,76 @@ class TestPrune:
         assert cache.prune() == 0  # no caps configured at all
 
 
-class TestNonObjectEntries:
-    """A disk entry that parses as JSON but is not an object is a miss."""
+#: Marks a field :func:`write_entry` leaves out of the entry.
+MISSING = object()
 
-    BODIES = ["[]", "null", '"x"', "7"]
+
+def write_entry(cache: ResultCache, target: InstanceSpec, body) -> tuple[Path, str]:
+    """Write *body* where *cache* files *target*; returns ``(path, text)``.
+
+    A string is written verbatim; a dict overrides fields of an entry
+    whose header (version, salt, spec) is valid for *target*.
+    """
+    text = body
+    if isinstance(body, dict):
+        entry = {
+            "version": cache_mod.CACHE_FORMAT_VERSION,
+            "salt": cache.salt_for(target),
+            "spec": target.to_dict(),
+            "metrics": {"makespan": 1.0},
+            "elapsed_s": 0.0,
+            **body,
+        }
+        text = json.dumps({k: v for k, v in entry.items() if v is not MISSING})
+    path = cache.path_for(target)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path, text
+
+
+class TestNonObjectEntries:
+    """A disk entry that is not an object, or whose header matches but
+    whose body is malformed, is a miss — and garbage for ``gc``."""
+
+    BODIES = [
+        "[]",
+        "null",
+        '"x"',
+        "7",
+        pytest.param({"metrics": 7}, id="metrics-7"),
+        pytest.param({"metrics": None}, id="metrics-null"),
+        pytest.param({"metrics": {"$float": "nan"}}, id="metrics-nan"),
+        pytest.param({"metrics": "x"}, id="metrics-str"),
+        pytest.param({"metrics": []}, id="metrics-list"),
+        pytest.param({"metrics": MISSING}, id="metrics-missing"),
+        pytest.param({"metrics": {"makespan": {"$float": "x"}}}, id="metrics-bad-tag"),
+        pytest.param({"elapsed_s": "x"}, id="elapsed-str"),
+        pytest.param({"elapsed_s": MISSING}, id="elapsed-missing"),
+    ]
 
     @pytest.mark.parametrize("body", BODIES)
     def test_get_counts_a_miss(self, tmp_path, body):
         cache = ResultCache(tmp_path)
-        path = cache.path_for(spec(4))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body)
+        write_entry(cache, spec(4), body)
         assert cache.get(spec(4)) is None
         assert cache.stats.misses == 1
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_gc_removes_it(self, tmp_path, body):
+        cache = ResultCache(tmp_path)
+        path, _ = write_entry(cache, spec(4), body)
+        assert cache.gc() == 1
+        assert not path.exists()
 
     @pytest.mark.parametrize("body", BODIES)
     def test_campaign_recomputes_and_overwrites(self, tmp_path, body):
         cache = ResultCache(tmp_path)
         target = InstanceSpec(workload="cholesky", size=4, algorithm="heft-avg")
-        path = cache.path_for(target)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(body)
+        path, text = write_entry(cache, target, body)
         outcome = run_campaign([target], jobs=1, cache=cache)
         assert outcome.stats.executed == 1
-        assert path.read_text() != body
+        assert not outcome.records[0].cached
+        assert path.read_text() != text
         fresh = ResultCache(tmp_path)
         entry = fresh.get(target)
         assert entry is not None and fresh.stats.disk_hits == 1

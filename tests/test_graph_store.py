@@ -161,9 +161,10 @@ class TestExecutorWiring:
         second = executor_mod._compiled_workload("cholesky", 4)
         assert second is not first
 
-    def test_random_families_stay_on_dict_path(self):
-        graph = executor_mod._campaign_graph("layered", 4, 1, ())
-        assert not isinstance(graph, CompiledGraph)
+    def test_random_families_take_compiled_path(self):
+        for workload in ("layered", "chains"):
+            graph = executor_mod._campaign_graph(workload, 4, 1, ())
+            assert isinstance(graph, CompiledGraph)
 
     def test_factorizations_take_compiled_path(self):
         graph = executor_mod._campaign_graph("cholesky", 4, None, ())

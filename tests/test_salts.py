@@ -202,7 +202,8 @@ class TestClosureSoundness:
         # Cold memos, no graph store: every generator, bound and
         # simulator entry actually runs under the profiler.
         executor.set_graph_store(None)
-        executor._workload_graph.cache_clear()
+        executor._random_workload.cache_clear()
+        executor._area_bound.cache_clear()
         executor._dag_bound.cache_clear()
         ran, _ = _salted_modules_run(executor.execute_spec, spec)
         if executor._batch_key(spec) is not None:
