@@ -9,9 +9,9 @@ both entry points on the same specs — seeded ``layered`` rows of 64 and
 256 tasks (sizes 8 and 16), the shapes the service and the seed sweeps
 run — at B in {1, 2, 4, 8, 16, 32, 64} on the paper platform, and
 reports the median over interleaved repeats of batch time over scalar
-time.  The graph and area-bound memos are cleared before each timed
-side, so both pay the same graph builds and bounds a campaign's misses
-pay.  Both paths must produce the same payloads, compared as canonical
+time.  The graph, duration and area-bound memos are cleared before each
+timed side, so both pay the same graph builds and bounds a campaign's
+misses pay.  Both paths must produce the same payloads, compared as canonical
 JSON (a metric may be NaN or inf, which ``==`` would reject).
 
 Run with::
@@ -55,6 +55,7 @@ def _canon(payloads: list[dict]) -> list[str]:
 
 def _timed(fn, *args):
     executor._random_workload.cache_clear()
+    executor._durations.cache_clear()
     executor._area_bound.cache_clear()
     started = time.perf_counter()
     result = fn(*args)

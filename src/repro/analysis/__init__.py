@@ -10,13 +10,14 @@ story rests on:
   codebase can lose determinism (unseeded global RNG state, wall-clock
   reads, unordered-collection iteration, raw float equality) as lint
   rules over the AST.
-* **Cache-salt discipline** — any semantic change to a module whose
-  behaviour feeds :class:`ResultCache`/:class:`GraphStore` keys must be
-  accompanied by a ``CODE_VERSION`` bump, or stale cached results are
-  silently served.  :mod:`repro.analysis.fingerprint` hashes the
-  normalized AST of every salted module into a committed manifest
-  (``analysis/fingerprints.json``); ``repro lint --cache-gate`` fails
-  when a fingerprint drifts without a bump.
+* **Cache-salt discipline** — :class:`ResultCache`/:class:`GraphStore`
+  keys digest the normalized-AST fingerprints of the modules each spec
+  can reach, so a semantic change re-keys exactly the affected entries.
+  :mod:`repro.analysis.fingerprint` computes those fingerprints and
+  records them, with each module's import edges and raw-byte hash, in a
+  committed manifest (``analysis/fingerprints.json``) that the salts
+  read at start-up; ``repro lint --cache-gate`` fails when the manifest
+  no longer describes the tree.
 * **Whole-program flow invariants** — the per-statement rules cannot
   see nondeterminism laundered through helpers or containers, salt
   tables drifting out of sync with the call graph, or concurrency
@@ -35,7 +36,6 @@ from repro.analysis.fingerprint import (
     MANIFEST_PATH,
     SALTED_PACKAGES,
     check_gate,
-    compute_fingerprints,
     load_manifest,
     normalized_fingerprint,
     write_manifest,
@@ -63,7 +63,6 @@ __all__ = [
     "all_rules",
     "analyze_tree",
     "check_gate",
-    "compute_fingerprints",
     "lint_paths",
     "load_manifest",
     "normalized_fingerprint",

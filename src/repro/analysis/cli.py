@@ -23,8 +23,9 @@ from typing import Sequence, TextIO
 from repro.analysis.fingerprint import (
     MANIFEST_PATH,
     check_gate,
-    compute_fingerprints,
     load_manifest,
+    scan_salted_modules,
+    stale_raw_hashes,
     write_manifest,
 )
 from repro.analysis.lint import all_rules, lint_paths
@@ -86,13 +87,13 @@ def run_lint(
 
     manifest_path = root / MANIFEST_PATH
     if write_fingerprints:
-        fingerprints = compute_fingerprints(root / "src")
-        if not fingerprints:
+        tree = scan_salted_modules(root / "src")
+        if not tree.fingerprints:
             print(f"[lint] no salted modules found under {root / 'src'}", file=err)
             return 2
-        write_manifest(manifest_path, fingerprints, code_version=CODE_VERSION)
+        write_manifest(manifest_path, tree, code_version=CODE_VERSION)
         print(
-            f"[lint] wrote {len(fingerprints)} fingerprint(s) to {manifest_path} "
+            f"[lint] wrote {len(tree.fingerprints)} fingerprint(s) to {manifest_path} "
             f"(CODE_VERSION {CODE_VERSION})",
             file=out,
         )
@@ -108,19 +109,27 @@ def run_lint(
         exit_code = 1
 
     if cache_gate:
-        current = compute_fingerprints(root / "src")
-        failures = check_gate(
-            load_manifest(manifest_path), current, code_version=CODE_VERSION
-        )
+        # Always the full scan: the gate never reads the table it checks.
+        current = scan_salted_modules(root / "src")
+        manifest = load_manifest(manifest_path)
+        failures = check_gate(manifest, current, code_version=CODE_VERSION)
         if failures:
             for message in failures:
                 print(f"[cache-gate] FAIL: {message}", file=err)
             exit_code = 1
         else:
             print(
-                f"[cache-gate] OK: {len(current)} salted module(s) match "
-                f"{MANIFEST_PATH} under CODE_VERSION {CODE_VERSION}; "
+                f"[cache-gate] OK: {len(current.fingerprints)} salted module(s) "
+                f"match {MANIFEST_PATH} under CODE_VERSION {CODE_VERSION}; "
                 "every salted package has modules",
+                file=out,
+            )
+        stale = stale_raw_hashes(manifest, current)
+        if stale:
+            print(
+                f"[cache-gate] note: stale raw hash for {len(stale)} module(s), "
+                f"each parsed by every fresh process until regenerated: "
+                f"{', '.join(stale)}",
                 file=out,
             )
     return exit_code

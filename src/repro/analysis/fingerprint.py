@@ -11,19 +11,32 @@ them honest:
 * :func:`normalized_fingerprint` hashes one module's AST with
   docstrings dropped and line/column attributes excluded — comment
   edits, reformatting, docstring rewrites and moved code keep the same
-  fingerprint; any change visible to the interpreter changes it;
+  fingerprint; any change visible to the interpreter changes it.  The
+  AST is rendered by :func:`_dump`, which spells Python 3.11's
+  ``ast.dump`` text on every interpreter, so a module's fingerprint
+  (and every cache key) is the same on 3.10 through 3.13;
 * :func:`scan_salted_modules` parses every module under the salted
-  packages (:data:`SALTED_PACKAGES`) once and returns both its
-  fingerprint and its salted import edges — the closure salts and the
-  gate share this one walker (:func:`compute_fingerprints` is its
-  fingerprint half);
-* the committed manifest ``analysis/fingerprints.json`` records the
-  fingerprints the tree currently ships;
+  packages (:data:`SALTED_PACKAGES`) and returns a :class:`SaltedTree`:
+  each module's fingerprint, its salted import edges and the SHA-256
+  of its raw bytes.  The gate and the manifest writer use it; it never
+  reads the manifest;
+* the committed manifest ``analysis/fingerprints.json`` (format 2)
+  records all three maps — ``fingerprints``, ``imports`` and ``raw``;
+* :func:`scan_with_manifest` is the closure salts' path: it hashes
+  every live module and takes the fingerprint and edges of each module
+  whose bytes match its ``raw`` entry from the manifest, parsing only
+  the others.  A missing, malformed or foreign-format manifest, or a
+  live module set that differs from the recorded one, makes it a full
+  scan.  Both paths run one per-module walker (:func:`_scan_module`);
 * :func:`check_gate` fails when fingerprints drift without the
   manifest being regenerated, when ``CODE_VERSION`` moved but the
   manifest was not re-minted, when modules appeared/disappeared
-  unrecorded, or when a :data:`SALTED_PACKAGES` entry has no modules
-  at all (a renamed package that nothing would salt).
+  unrecorded, when a :data:`SALTED_PACKAGES` entry has no modules at
+  all (a renamed package that nothing would salt), when the manifest
+  lacks the ``raw``/``imports`` maps, or when its recorded import
+  edges differ from the tree's (the warm path would trust them).  A
+  stale ``raw`` hash alone passes: it costs that module a parse per
+  process, never a wrong salt (:func:`stale_raw_hashes` names them).
 
 A semantic edit re-keys exactly the affected cache entries on its own —
 no ``CODE_VERSION`` bump required; the gate's job is bookkeeping: the
@@ -46,19 +59,21 @@ import ast
 import hashlib
 import json
 from pathlib import Path
-from typing import AbstractSet, Dict, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Mapping, NamedTuple, Set, Tuple
 
 from repro.io import canonical_dumps
 
 __all__ = [
     "SALTED_PACKAGES",
     "MANIFEST_PATH",
+    "SaltedTree",
     "normalized_fingerprint",
     "scan_salted_modules",
-    "compute_fingerprints",
+    "scan_with_manifest",
     "load_manifest",
     "write_manifest",
     "check_gate",
+    "stale_raw_hashes",
 ]
 
 #: Packages (under ``src/repro``) whose semantics feed cache keys.
@@ -67,8 +82,19 @@ SALTED_PACKAGES = ("bounds", "core", "dag", "schedulers", "simulator", "timing")
 #: Repo-relative location of the committed manifest.
 MANIFEST_PATH = "analysis/fingerprints.json"
 
-#: Manifest layout version.
-MANIFEST_FORMAT = 1
+#: Manifest layout version: 2 adds the ``raw`` and ``imports`` maps.
+MANIFEST_FORMAT = 2
+
+
+class SaltedTree(NamedTuple):
+    """What the manifest records per salted module (``src``-relative keys)."""
+
+    #: Normalized-AST SHA-256 (:func:`normalized_fingerprint`).
+    fingerprints: Dict[str, str]
+    #: Sorted salted modules each module imports (see :func:`_scan_module`).
+    imports: Dict[str, Tuple[str, ...]]
+    #: SHA-256 of each module file's bytes.
+    raw: Dict[str, str]
 
 
 def _strip_docstrings(tree: ast.Module) -> ast.Module:
@@ -89,10 +115,40 @@ def _strip_docstrings(tree: ast.Module) -> ast.Module:
     return tree
 
 
+def _dump(node: object) -> str:
+    """``ast.dump(node)`` as Python 3.11 spells it, on any interpreter.
+
+    ``annotate_fields=True, include_attributes=False``: fields in
+    ``_fields`` order as ``name=value``; a ``None`` is left out only
+    where the class default of that field is ``None`` (an absent
+    optional field), lists are always shown, and the ``type_params``
+    field later interpreters add to every def and class is left out
+    when empty.  ``ast.dump`` itself changes between minor versions
+    (3.12 adds ``type_params=[]``, 3.13 omits empty lists and ``None``
+    fields), and hashing its text made fingerprints — and cache keys —
+    depend on the interpreter.
+    """
+    if isinstance(node, ast.AST):
+        cls = type(node)
+        fields = []
+        for name in node._fields:
+            try:
+                value = getattr(node, name)
+            except AttributeError:
+                continue
+            if value is None and getattr(cls, name, ...) is None:
+                continue
+            if name == "type_params" and not value:
+                continue
+            fields.append(f"{name}={_dump(value)}")
+        return f"{cls.__name__}({', '.join(fields)})"
+    if isinstance(node, list):
+        return f"[{', '.join(_dump(item) for item in node)}]"
+    return repr(node)
+
+
 def _tree_fingerprint(tree: ast.Module) -> str:
-    dump = ast.dump(
-        _strip_docstrings(tree), annotate_fields=True, include_attributes=False
-    )
+    dump = _dump(_strip_docstrings(tree))
     return hashlib.sha256(dump.encode("utf-8")).hexdigest()
 
 
@@ -136,15 +192,13 @@ def _resolve_import(
         yield from candidates(f"{dotted}.{alias.name}")
 
 
-def scan_salted_modules(
-    src_root: str | Path,
-) -> Tuple[Dict[str, str], Dict[str, Tuple[str, ...]]]:
-    """``(fingerprints, import_edges)`` of every salted module, one parse each.
+def _scan_module(
+    rel: str, source: bytes, modules: AbstractSet[str]
+) -> Tuple[str, Tuple[str, ...]]:
+    """``(fingerprint, import_edges)`` of salted module *rel*: one parse.
 
-    Keys are ``src``-relative posix paths (``repro/core/task.py``), so
-    the manifest is stable against checkout location.
-    ``import_edges[rel]`` lists the salted modules *rel* imports anywhere
-    in its body — including function-local imports (``ast.walk`` sees
+    The edges list the salted *modules* that *rel* imports anywhere in
+    its body — including function-local imports (``ast.walk`` sees
     nested statements), so lazily imported dependencies like
     ``core/heteroprio.py``'s ready-queue import are captured.  Edges
     out of ``__init__.py`` modules are dropped: package inits are
@@ -152,7 +206,18 @@ def scan_salted_modules(
     policies), and following them would put every policy in every
     closure.
     """
-    src_root = Path(src_root)
+    tree = ast.parse(source)
+    targets: Set[str] = set()
+    if not rel.endswith("__init__.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                targets.update(_resolve_import(node, rel, modules))
+        targets.discard(rel)
+    return _tree_fingerprint(tree), tuple(sorted(targets))
+
+
+def _salted_paths(src_root: Path) -> Dict[str, Path]:
+    """Every salted module file under *src_root*, by ``src``-relative path."""
     paths: Dict[str, Path] = {}
     for package in SALTED_PACKAGES:
         base = src_root / "repro" / package
@@ -161,24 +226,90 @@ def scan_salted_modules(
         for path in sorted(base.rglob("*.py")):
             if "__pycache__" not in path.parts:
                 paths[path.relative_to(src_root).as_posix()] = path
+    return paths
+
+
+def _scan(
+    paths: Mapping[str, Path],
+    recorded: Mapping[str, Tuple[str, str, Tuple[str, ...]]],
+) -> SaltedTree:
+    """Hash every module; reuse a *recorded* entry whose raw hash matches."""
     fingerprints: Dict[str, str] = {}
-    edges: Dict[str, Tuple[str, ...]] = {}
+    imports: Dict[str, Tuple[str, ...]] = {}
+    raw: Dict[str, str] = {}
     for rel, path in paths.items():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        targets: Set[str] = set()
-        if not rel.endswith("__init__.py"):
-            for node in ast.walk(tree):
-                if isinstance(node, (ast.Import, ast.ImportFrom)):
-                    targets.update(_resolve_import(node, rel, paths.keys()))
-            targets.discard(rel)
-        edges[rel] = tuple(sorted(targets))
-        fingerprints[rel] = _tree_fingerprint(tree)
-    return fingerprints, edges
+        source = path.read_bytes()
+        raw[rel] = hashlib.sha256(source).hexdigest()
+        entry = recorded.get(rel)
+        if entry is not None and entry[0] == raw[rel]:
+            fingerprints[rel], imports[rel] = entry[1], entry[2]
+        else:
+            fingerprints[rel], imports[rel] = _scan_module(rel, source, paths.keys())
+    return SaltedTree(fingerprints, imports, raw)
 
 
-def compute_fingerprints(src_root: str | Path) -> Dict[str, str]:
-    """Fingerprints of every salted module under *src_root* (``src/``)."""
-    return scan_salted_modules(src_root)[0]
+def scan_salted_modules(src_root: str | Path) -> SaltedTree:
+    """The :class:`SaltedTree` of every salted module, parsing each one.
+
+    Keys are ``src``-relative posix paths (``repro/core/task.py``), so
+    the manifest is stable against checkout location.  The gate and
+    ``repro lint --write-fingerprints`` use this full scan: the table
+    they check is never an input.
+    """
+    return _scan(_salted_paths(Path(src_root)), {})
+
+
+def _recorded_entries(
+    manifest: Dict[str, object] | None, modules: AbstractSet[str]
+) -> Dict[str, Tuple[str, str, Tuple[str, ...]]]:
+    """``{rel: (raw, fingerprint, edges)}`` of a usable manifest, else ``{}``.
+
+    Usable means format :data:`MANIFEST_FORMAT`, well-typed, and
+    recording exactly the live module set *modules* — edges are
+    resolved against that set, so an added or removed module can change
+    the edges of a module whose bytes did not change.
+    """
+    if manifest is None or manifest.get("format") != MANIFEST_FORMAT:
+        return {}
+    raw, fingerprints, imports = (
+        manifest.get(key) for key in ("raw", "fingerprints", "imports")
+    )
+    if not (
+        isinstance(raw, dict)
+        and isinstance(fingerprints, dict)
+        and isinstance(imports, dict)
+        and raw.keys() == fingerprints.keys() == imports.keys() == modules
+    ):
+        return {}
+    entries: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {}
+    for rel in modules:
+        digest, fingerprint, edges = raw[rel], fingerprints[rel], imports[rel]
+        if not (
+            isinstance(digest, str)
+            and isinstance(fingerprint, str)
+            and isinstance(edges, list)
+            and all(isinstance(edge, str) for edge in edges)
+        ):
+            return {}
+        entries[rel] = (digest, fingerprint, tuple(edges))
+    return entries
+
+
+def scan_with_manifest(src_root: str | Path) -> SaltedTree:
+    """:func:`scan_salted_modules`' result, parsing only what changed.
+
+    Reads the manifest committed next to *src_root*
+    (``<src_root>/../analysis/fingerprints.json``) and hashes every live
+    module: a module whose bytes match its recorded ``raw`` hash takes
+    its fingerprint and edges from the manifest, every other module is
+    parsed.  Without a usable manifest (see :func:`_recorded_entries`)
+    every module is parsed — the result is the full scan's either way,
+    as long as the manifest passes :func:`check_gate`.
+    """
+    src_root = Path(src_root)
+    paths = _salted_paths(src_root)
+    manifest = load_manifest(src_root.parent / MANIFEST_PATH)
+    return _scan(paths, _recorded_entries(manifest, paths.keys()))
 
 
 def load_manifest(path: str | Path) -> Dict[str, object] | None:
@@ -193,7 +324,7 @@ def load_manifest(path: str | Path) -> Dict[str, object] | None:
 
 
 def write_manifest(
-    path: str | Path, fingerprints: Dict[str, str], *, code_version: str
+    path: str | Path, tree: SaltedTree, *, code_version: str
 ) -> Path:
     """Write the manifest (canonical JSON, trailing newline); returns *path*."""
     path = Path(path)
@@ -202,7 +333,9 @@ def write_manifest(
         "format": MANIFEST_FORMAT,
         "code_version": code_version,
         "generated_by": "repro lint --write-fingerprints",
-        "fingerprints": dict(sorted(fingerprints.items())),
+        "fingerprints": tree.fingerprints,
+        "imports": tree.imports,
+        "raw": tree.raw,
     }
     path.write_text(canonical_dumps(payload, indent=1) + "\n", encoding="utf-8")
     return path
@@ -210,11 +343,11 @@ def write_manifest(
 
 def check_gate(
     manifest: Dict[str, object] | None,
-    current: Dict[str, str],
+    current: SaltedTree,
     *,
     code_version: str,
 ) -> List[str]:
-    """Gate verdict: a list of failure messages (empty = pass).
+    """Gate verdict on the full scan *current*: failure messages (empty = pass).
 
     Failure modes:
 
@@ -226,7 +359,12 @@ def check_gate(
       version — regeneration was forgotten;
     * salted modules added/removed without regenerating;
     * a :data:`SALTED_PACKAGES` entry with no modules in the tree (a
-      renamed package would otherwise go unsalted, silently).
+      renamed package would otherwise go unsalted, silently);
+    * no ``raw``/``imports`` maps (a format-1 manifest);
+    * recorded import edges that differ from the tree's — the warm
+      path trusts them for every module whose bytes match.
+
+    A stale ``raw`` hash is not a failure (:func:`stale_raw_hashes`).
     """
     if manifest is None:
         return [
@@ -239,13 +377,12 @@ def check_gate(
         return [f"manifest at {MANIFEST_PATH} is malformed; regenerate it"]
 
     failures: List[str] = []
+    live = current.fingerprints
     changed = sorted(
-        rel
-        for rel in set(recorded) & set(current)
-        if recorded[rel] != current[rel]
+        rel for rel in set(recorded) & set(live) if recorded[rel] != live[rel]
     )
-    added = sorted(set(current) - set(recorded))
-    removed = sorted(set(recorded) - set(current))
+    added = sorted(set(live) - set(recorded))
+    removed = sorted(set(recorded) - set(live))
 
     if changed and recorded_version == code_version:
         failures.append(
@@ -278,6 +415,41 @@ def check_gate(
         f"salted package {package!r} has no modules under src — "
         "SALTED_PACKAGES and the tree disagree, so nothing salts it."
         for package in SALTED_PACKAGES
-        if not any(rel.startswith(f"repro/{package}/") for rel in current)
+        if not any(rel.startswith(f"repro/{package}/") for rel in live)
     )
+    imports = manifest.get("imports")
+    if not (isinstance(imports, dict) and isinstance(manifest.get("raw"), dict)):
+        failures.append(
+            f"manifest at {MANIFEST_PATH} records no raw hashes or import "
+            "edges (format 1); run 'repro lint --write-fingerprints' to "
+            f"write format {MANIFEST_FORMAT}."
+        )
+        return failures
+    # A drifted module's own edges are part of its reported drift.
+    misleading = sorted(
+        rel
+        for rel, edges in current.imports.items()
+        if rel in recorded and rel not in changed and imports.get(rel) != list(edges)
+    )
+    if misleading:
+        failures.append(
+            "recorded import edges differ from the tree for "
+            f"{', '.join(misleading)} — closure salts trust them wherever "
+            "the raw hash matches; run 'repro lint --write-fingerprints'."
+        )
     return failures
+
+
+def stale_raw_hashes(
+    manifest: Dict[str, object] | None, current: SaltedTree
+) -> List[str]:
+    """Live modules whose recorded ``raw`` hash is missing or out of date.
+
+    Not a gate failure — after a comment-only edit the fingerprint still
+    matches — but each such module is parsed by every fresh process
+    until the manifest is regenerated.
+    """
+    raw = manifest.get("raw") if manifest is not None else None
+    if not isinstance(raw, dict):
+        return []
+    return sorted(rel for rel, digest in current.raw.items() if raw.get(rel) != digest)

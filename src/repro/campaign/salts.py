@@ -10,10 +10,17 @@ the diff instead:
   normalized-AST fingerprint (:func:`live_fingerprints`) — the same
   docstring-stripped, position-free hash the cache gate commits to
   ``analysis/fingerprints.json``;
-* a static import graph over those modules (:func:`import_graph`,
-  from the same single parse per module) turns a spec's *root*
-  modules into the **dependency closure** of everything its execution
-  can reach (:func:`dependency_closure`);
+* a static import graph over those modules (:func:`import_graph`)
+  turns a spec's *root* modules into the **dependency closure** of
+  everything its execution can reach (:func:`dependency_closure`);
+* both tables come from
+  :func:`~repro.analysis.fingerprint.scan_with_manifest` at the first
+  salt request of a process: it hashes the live salted modules and
+  takes each unchanged module's fingerprint and edges from the
+  committed manifest, parsing only modules whose bytes differ from
+  the recorded ``raw`` hash (all of them when the manifest is missing,
+  malformed or records another module set) — so a warm process pays a
+  few milliseconds of hashing, not a parse of the tree;
 * the roots come from the executor's own dispatch
   (:func:`repro.campaign.executor.spec_roots` — the modules defining
   the workload generator, scheduler or policy, bound and simulator
@@ -26,7 +33,7 @@ the diff instead:
 
 Edges *out of* ``__init__.py`` modules are dropped from the import
 graph (re-export hubs; see
-:func:`repro.analysis.fingerprint.scan_salted_modules`).  An
+:func:`repro.analysis.fingerprint._scan_module`).  An
 ``__init__`` that carries real logic (``make_policy`` dispatch) is a
 root whenever the executor calls into it, so its own fingerprint is in
 the digest without fanning out.
@@ -41,7 +48,7 @@ import hashlib
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Tuple
 
-from repro.analysis.fingerprint import scan_salted_modules
+from repro.analysis.fingerprint import scan_with_manifest
 from repro.campaign.spec import InstanceSpec
 from repro.io import canonical_dumps
 
@@ -59,13 +66,13 @@ __all__ = [
 # repro-lint: disable=fork-unsafe-state -- fingerprint/graph/closure memos are per-process caches
 # Every process (parent or forked worker) derives bit-identical values
 # from the same committed tree, so divergence between copies is
-# impossible; the memos exist only to amortise the AST walk.
+# impossible; the memos exist only to amortise the scan.
 _live: Dict[str, str] | None = None
 _override: Dict[str, str] | None = None
 _graph: Dict[str, Tuple[str, ...]] | None = None
 _closure_memo: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 _salt_memo: Dict[Tuple[Tuple[str, ...], str], str] = {}
-_spec_roots_memo: Dict[InstanceSpec, Tuple[str, ...]] = {}
+_spec_roots_memo: Dict[Tuple[str, str, str, str], Tuple[str, ...]] = {}
 
 
 def _src_root() -> Path:
@@ -101,10 +108,10 @@ def set_fingerprint_override(overrides: Mapping[str, str] | None) -> None:
 
 
 def _scan() -> Tuple[Dict[str, str], Dict[str, Tuple[str, ...]]]:
-    """The memoised single-parse scan of the live tree (plus override)."""
+    """The memoised scan of the live tree (plus override)."""
     global _live, _graph
     if _live is None or _graph is None:
-        fingerprints, graph = scan_salted_modules(_src_root())
+        fingerprints, graph, _ = scan_with_manifest(_src_root())
         if _override:
             fingerprints.update(_override)
         _live, _graph = fingerprints, graph
@@ -114,8 +121,10 @@ def _scan() -> Tuple[Dict[str, str], Dict[str, Tuple[str, ...]]]:
 def live_fingerprints() -> Dict[str, str]:
     """Normalized-AST fingerprints of every salted module, as imported.
 
-    Computed once per process from the live source tree (plus any test
-    override) and memoised; :func:`reset_salt_caches` recomputes.
+    Derived once per process for the live source tree — read from the
+    committed manifest for modules whose bytes it records, parsed for
+    the rest — plus any test override, and memoised;
+    :func:`reset_salt_caches` derives them again.
     """
     return _scan()[0]
 
@@ -158,14 +167,20 @@ def dependency_closure(roots: Iterable[str]) -> Tuple[str, ...]:
 
 
 def _spec_roots(spec: InstanceSpec) -> Tuple[str, ...]:
-    """The executor's roots for *spec* (memoised), or every salted module."""
-    cached = _spec_roots_memo.get(spec)
+    """The executor's roots for *spec* (memoised), or every salted module.
+
+    Memoised on the four fields :func:`~repro.campaign.executor.spec_roots`
+    reads, so a seed sweep or a long-lived service adds one entry per
+    family, not one per spec.
+    """
+    key = (spec.workload, spec.mode, spec.algorithm, spec.bound)
+    cached = _spec_roots_memo.get(key)
     if cached is None:
         # Imported here: the executor imports the cache, which imports us.
         from repro.campaign.executor import spec_roots
 
         cached = spec_roots(spec) or tuple(sorted(live_fingerprints()))
-        _spec_roots_memo[spec] = cached
+        _spec_roots_memo[key] = cached
     return cached
 
 

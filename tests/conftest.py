@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.analysis.fingerprint import MANIFEST_PATH
 from repro.core.platform import Platform
 from repro.core.task import Instance, Task
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # Plain fixtures
@@ -27,6 +33,20 @@ def small_platform() -> Platform:
 @pytest.fixture
 def paper_platform() -> Platform:
     return Platform(num_cpus=20, num_gpus=4)
+
+
+@pytest.fixture()
+def repo_copy(tmp_path: Path) -> Path:
+    """A minimal copy of the repo: salted sources + the real manifest."""
+    copy = tmp_path / "repo"
+    shutil.copytree(
+        REPO_ROOT / "src" / "repro",
+        copy / "src" / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    (copy / "analysis").mkdir()
+    shutil.copy(REPO_ROOT / MANIFEST_PATH, copy / MANIFEST_PATH)
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro import io
-from repro.campaign import InstanceSpec, run_campaign
+from repro.campaign import InstanceSpec, executor, run_campaign
 from repro.campaign.backends import WorkUnit, _steal, run_work_stealing
 from repro.campaign.cache import encode_value
 from repro.campaign.executor import (
@@ -153,6 +153,18 @@ class TestExecuteSpecBatch:
         assert [canon(p) for p in payloads] == [
             canon(execute_spec(spec)) for spec in specs
         ]
+
+    def test_algorithm_groups_build_each_graph_once(self):
+        # A seed sweep runs every seed once per algorithm group, and a
+        # group longer than the graph memo would rebuild every graph;
+        # the duration memo keeps it to one build per seed.
+        executor._random_workload.cache_clear()
+        executor._durations.cache_clear()
+        executor._area_bound.cache_clear()
+        rows = 2 * executor._random_workload.cache_info().maxsize
+        for algorithm in ("heteroprio", "heft", "dualhp"):
+            assert execute_spec_batch(seed_sweep(algorithm, rows)) is not None
+        assert executor._random_workload.cache_info().misses == rows
 
     def test_declines_groups_without_one_shared_key(self):
         assert execute_spec_batch([]) == []

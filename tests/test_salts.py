@@ -6,25 +6,32 @@ can reach, so a semantic edit re-keys the affected entries and *only*
 those.  The roots come from the executor's own dispatch
 (:func:`repro.campaign.executor.spec_roots`); the soundness test traces
 real executions and checks that every salted module whose functions
-ran lies inside the derived closure.  The end-to-end test at the bottom
+ran lies inside the derived closure.  The end-to-end test
 proves selectivity on a real campaign: edit one scheduler module (via
 the fingerprint-override seam), rerun a mixed grid, and watch only the
-closure-affected instances recompute.
+closure-affected instances recompute.  The manifest tests at the bottom
+make real edits in a copy of the tree and check that the warm path
+(:func:`~repro.analysis.fingerprint.scan_with_manifest`) parses only
+what changed and derives the full scan's salts.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import io
-from repro.analysis.fingerprint import SALTED_PACKAGES
+from repro.analysis import fingerprint
+from repro.analysis.fingerprint import MANIFEST_PATH, SALTED_PACKAGES
 from repro.campaign import InstanceSpec, ResultCache, run_campaign
 from repro.campaign import executor, salts
 from repro.campaign.cache import encode_value
-from repro.campaign.executor import derive_seeds, spec_roots
+from repro.campaign.executor import derive_seeds, spec_roots, workload_root
 from repro.campaign.spec import CODE_VERSION
 
 
@@ -103,6 +110,59 @@ class TestClosures:
         assert salts.salt_for_spec(spec, base=CODE_VERSION) == widest
         unknown_policy = spec_dag("magic-avg")
         assert salts.salt_for_spec(unknown_policy, base=CODE_VERSION) == widest
+
+
+#: Every (workload, mode, algorithm, bound) a spec can carry: the
+#: executor's families, an unknown workload and unknown algorithms.
+ROOT_KEYS = [
+    (workload, mode, algorithm, bound)
+    for workload in ("cholesky", "qr", "lu", "layered", "chains", "mystery")
+    for mode, algorithms in (
+        ("independent", ("heteroprio", "dualhp", "heft", "magic")),
+        ("dag", ("heteroprio-avg", "heft-min", "dualhp-avg", "buckets-avg", "magic-avg")),
+    )
+    for algorithm in algorithms
+    for bound in ("area", "auto", "lp")
+]
+
+
+class TestSpecRootsMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.sampled_from(ROOT_KEYS),
+        size=st.integers(1, 64),
+        seed=st.integers(0, 2**63 - 1),
+        params=st.dictionaries(
+            st.sampled_from(("width", "density", "p")),
+            st.floats(0.0, 16.0, allow_nan=False),
+            max_size=2,
+        ),
+        num_cpus=st.integers(0, 32),
+        num_gpus=st.integers(0, 8),
+    )
+    def test_spec_roots_read_only_the_memo_key(
+        self, key, size, seed, params, num_cpus, num_gpus
+    ):
+        # _spec_roots memoises on these four fields; if spec_roots ever
+        # reads another one, this fails before a memo goes stale.
+        workload, mode, algorithm, bound = key
+        spec = InstanceSpec(
+            workload, size, algorithm, mode=mode, num_cpus=num_cpus,
+            num_gpus=num_gpus, bound=bound, seed=seed, params=tuple(params.items()),
+        )
+        reference = InstanceSpec(workload, 1, algorithm, mode=mode, bound=bound, seed=0)
+        assert spec_roots(spec) == spec_roots(reference)
+
+    def test_seed_sweep_adds_one_memo_entry(self):
+        salts.reset_salt_caches()
+        spec = InstanceSpec(
+            workload="layered", size=4, algorithm="heteroprio",
+            mode="independent", bound="area", seed=0,
+        )
+        expected = salts.salt_for_spec(spec, base=CODE_VERSION)
+        for seed in range(1000):
+            assert salts.salt_for_spec(spec.with_seed(seed), base=CODE_VERSION) == expected
+        assert len(salts._spec_roots_memo) == 1
 
 
 class TestSalts:
@@ -203,6 +263,7 @@ class TestClosureSoundness:
         # simulator entry actually runs under the profiler.
         executor.set_graph_store(None)
         executor._random_workload.cache_clear()
+        executor._durations.cache_clear()
         executor._area_bound.cache_clear()
         executor._dag_bound.cache_clear()
         ran, _ = _salted_modules_run(executor.execute_spec, spec)
@@ -250,3 +311,129 @@ class TestSelectiveInvalidationEndToEnd:
         assert again.stats.hits == len(specs)
         for a, b in zip(cold.records, again.records):
             assert canon(a.metrics) == canon(b.metrics)
+
+
+#: One spec per traced family, plus every workload's generator salt.
+_FAMILY_SPECS = [
+    InstanceSpec(
+        workload=workload, size=3, algorithm=algorithm, mode=mode,
+        bound="area" if mode == "independent" else "auto",
+        seed=11 if workload in ("layered", "chains") else None,
+    )
+    for mode, algorithm, workload in TRACE_FAMILIES
+]
+_WORKLOADS = ("cholesky", "qr", "lu", "layered", "chains")
+
+
+def _all_salts() -> dict:
+    """Every family's spec salt and every workload salt, derived afresh."""
+    salts.reset_salt_caches()
+    table: dict = {spec: salts.salt_for_spec(spec, base=CODE_VERSION) for spec in _FAMILY_SPECS}
+    table.update({w: salts.workload_salt(w, base=CODE_VERSION) for w in _WORKLOADS})
+    return table
+
+
+def _closure_of(key) -> tuple[str, ...]:
+    roots = (workload_root(key),) if isinstance(key, str) else spec_roots(key)
+    return salts.dependency_closure(roots)
+
+
+class TestManifestFastPath:
+    """The warm path against the full scan, with real edits on disk."""
+
+    @pytest.fixture()
+    def parsed(self, repo_copy, monkeypatch):
+        """Derive salts from *repo_copy*; the list of modules parsed since."""
+        modules: list[str] = []
+        scan_module = fingerprint._scan_module
+
+        def counting(rel, source, live):
+            modules.append(rel)
+            return scan_module(rel, source, live)
+
+        monkeypatch.setattr(fingerprint, "_scan_module", counting)
+        monkeypatch.setattr(salts, "_src_root", lambda: repo_copy / "src")
+        salts.reset_salt_caches()
+        return modules
+
+    @staticmethod
+    def _full_scan_salts(monkeypatch) -> dict:
+        with monkeypatch.context() as patch:
+            patch.setattr(salts, "scan_with_manifest", fingerprint.scan_salted_modules)
+            return _all_salts()
+
+    def test_unmodified_copy_parses_nothing(self, repo_copy, parsed, monkeypatch):
+        src = repo_copy / "src"
+        tree = fingerprint.scan_with_manifest(src)
+        warm = _all_salts()
+        assert parsed == []
+        assert salts.live_fingerprints() == tree.fingerprints
+        assert salts.import_graph() == tree.imports
+        assert tree == fingerprint.scan_salted_modules(src)
+        assert warm == self._full_scan_salts(monkeypatch)
+
+    def test_comment_only_edit_parses_one_module(self, repo_copy, parsed):
+        before = _all_salts()
+        target = repo_copy / "src" / "repro" / "core" / "task.py"
+        target.write_text(target.read_text() + "\n# a trailing comment, no semantics\n")
+        parsed.clear()
+        assert _all_salts() == before
+        assert parsed == ["repro/core/task.py"]
+
+    def test_semantic_edit_rekeys_exactly_its_closure(self, repo_copy, parsed, monkeypatch):
+        edited = "repro/schedulers/online/heft.py"
+        before = _all_salts()
+        target = repo_copy / "src" / edited
+        target.write_text(target.read_text() + "\n_EDITED = 1\n")
+        parsed.clear()
+        after = _all_salts()
+        assert parsed == [edited]
+        assert after == self._full_scan_salts(monkeypatch)
+        rekeyed = {key for key in before if before[key] != after[key]}
+        assert rekeyed == {key for key in before if edited in _closure_of(key)}
+        assert rekeyed  # the heft DAG families
+
+    @pytest.mark.parametrize("change", ["added", "removed"])
+    def test_module_set_change_takes_the_full_scan(self, repo_copy, parsed, change):
+        # exact_dag.py does `from repro.simulator import simulate`: a new
+        # simulator/simulate.py module gains it an edge although its own
+        # bytes, and so its raw hash, stay the same.
+        src = repo_copy / "src"
+        module = src / "repro" / "simulator" / "simulate.py"
+        if change == "added":
+            module.write_text("X = 1\n")
+        else:
+            (src / "repro" / "bounds" / "simple.py").unlink()
+        tree = fingerprint.scan_with_manifest(src)
+        assert sorted(parsed) == sorted(tree.fingerprints)
+        assert tree == fingerprint.scan_salted_modules(src)
+        exact_dag = tree.imports["repro/schedulers/exact_dag.py"]
+        assert ("repro/simulator/simulate.py" in exact_dag) == (change == "added")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["missing", "truncated", "not-json", "json-list", "format-1", "non-string-raw"],
+    )
+    def test_unusable_manifest_takes_the_full_scan(self, repo_copy, parsed, corrupt):
+        path = repo_copy / MANIFEST_PATH
+        text = path.read_text()
+        manifest = json.loads(text)
+        first = sorted(manifest["raw"])[0]
+        if corrupt == "missing":
+            path.unlink()
+        elif corrupt == "truncated":
+            path.write_text(text[: len(text) // 2])
+        elif corrupt == "not-json":
+            path.write_text("not json at all")
+        elif corrupt == "json-list":
+            path.write_text("[]")
+        elif corrupt == "format-1":
+            del manifest["raw"], manifest["imports"]
+            path.write_text(json.dumps({**manifest, "format": 1}))
+        else:
+            manifest["raw"][first] = 7
+            path.write_text(json.dumps(manifest))
+        src = repo_copy / "src"
+        tree = fingerprint.scan_with_manifest(src)
+        assert sorted(parsed) == sorted(tree.fingerprints)
+        assert tree == fingerprint.scan_salted_modules(src)
