@@ -39,7 +39,6 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -95,13 +94,6 @@ def _decode_value(value: Any) -> Any:
 #: :func:`decode_value`.
 encode_value = _encode_value
 decode_value = _decode_value
-
-
-@lru_cache(maxsize=65536)
-def _spec_key(spec: InstanceSpec, salt: str) -> str:
-    """Memoised content address — a memory-tier hit must not pay the
-    canonical-JSON + SHA-256 cost of :meth:`InstanceSpec.spec_hash`."""
-    return spec.spec_hash(salt=salt)
 
 
 def _decoded_body(payload: dict[str, Any]) -> dict[str, Any] | None:
@@ -197,7 +189,7 @@ class ResultCache:
 
     def key(self, spec: InstanceSpec) -> str:
         """The content address of *spec* under its effective salt."""
-        return _spec_key(spec, self.salt_for(spec))
+        return spec.spec_hash(salt=self.salt_for(spec))
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -257,7 +249,7 @@ class ResultCache:
         recomputes and overwrites them.
         """
         effective = self.salt_for(spec)
-        key = _spec_key(spec, effective)
+        key = spec.spec_hash(salt=effective)
         entry = self._memory_get(key)
         if entry is not None:
             self.stats.memory_hits += 1
@@ -289,7 +281,7 @@ class ResultCache:
         read it replaces.
         """
         effective = self.salt_for(spec)
-        key = _spec_key(spec, effective)
+        key = spec.spec_hash(salt=effective)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -429,7 +421,7 @@ class ResultCache:
         stored_salt = payload.get("salt")
         if not isinstance(stored_salt, str):
             return False
-        if path.stem != _spec_key(spec, stored_salt):
+        if path.stem != spec.spec_hash(salt=stored_salt):
             return False  # unreachable: filed under the wrong address
         return stored_salt == self.salt_for(spec)
 

@@ -44,6 +44,12 @@ MODES = ("independent", "dag")
 SEEDED_WORKLOADS = ("layered", "chains")
 
 
+def _digest(spec: "InstanceSpec", salt: str) -> str:
+    """SHA-256 of *spec*'s canonical JSON under *salt* (no memo)."""
+    payload = canonical_dumps({"salt": salt, "spec": spec.to_dict()})
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """One unit of campaign work, fully described by plain data.
@@ -86,6 +92,10 @@ class InstanceSpec:
     bound: str = "auto"
     seed: int | None = None
     params: tuple[tuple[str, float], ...] = field(default=())
+    #: :meth:`spec_hash` memo of this object, per salt (not spec data).
+    _hashes: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -143,9 +153,16 @@ class InstanceSpec:
         The address is the SHA-256 of the canonical JSON encoding of the
         spec together with the salt; editing the salt therefore
         invalidates every previously stored result.
+
+        Memoised on this object, per salt.  The memo is never shared
+        between specs that merely compare equal: ``params=(("width",
+        4),)`` and ``(("width", 4.0),)``, or ``seed=1`` and
+        ``seed=True``, are ``==`` but encode (and so hash) differently.
         """
-        payload = canonical_dumps({"salt": salt, "spec": self.to_dict()})
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        key = self._hashes.get(salt)
+        if key is None:
+            key = self._hashes[salt] = _digest(self, salt)
+        return key
 
     def label(self) -> str:
         """Short human-readable identifier (used in logs and manifests)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -442,17 +442,15 @@ class ScheduleRequest:
     platform: PlatformSpec = PlatformSpec()
     tenant: str = ""
     retry: RetryPolicy = RetryPolicy()
+    _spec: InstanceSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate_tenant(self.tenant)
-        # Surface semantic spec errors (seed rules etc.) at validation
-        # time rather than inside a worker.
-        self.to_instance_spec()
-
-    def to_instance_spec(self) -> InstanceSpec:
-        """The campaign spec this request executes as."""
+        # Build the spec now, so semantic spec errors (seed rules etc.)
+        # surface at validation time rather than inside a worker, and
+        # keep it: every later key of this request reuses its hash memo.
         try:
-            return InstanceSpec(
+            spec = InstanceSpec(
                 workload=self.workload.family,
                 size=self.workload.size,
                 algorithm=self.policy.algorithm,
@@ -465,6 +463,11 @@ class ScheduleRequest:
             )
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
+        object.__setattr__(self, "_spec", spec)
+
+    def to_instance_spec(self) -> InstanceSpec:
+        """The campaign spec this request executes as (one per request)."""
+        return self._spec
 
     def request_key(self, *, salt: str = CODE_VERSION) -> str:
         """The cache key this request maps onto — exactly the spec hash.

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from typing import Any, Mapping
 from urllib.parse import parse_qs, urlsplit
 
@@ -52,6 +53,12 @@ __all__ = ["ScheduleServer", "HttpRequest"]
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Bounds of the body memo (:meth:`ScheduleServer._parse_body`): the
+#: models of at most this many distinct bodies, least recently used out
+#: first, and none of a body over the byte cap (parsed every time).
+_MEMO_BODIES = 256
+_MEMO_BODY_BYTES = 16 * 1024
 
 _REASONS = {
     200: "OK",
@@ -165,6 +172,9 @@ class ScheduleServer:
             "workers": workers,
         }
         self._execute_fn = execute_fn
+        self._bodies: OrderedDict[bytes, ScheduleRequest | BatchRequest] = (
+            OrderedDict()
+        )
         self.dispatcher: Dispatcher | None = None
         self.queue: JobQueue | None = None
         self._server: "asyncio.Server | None" = None
@@ -282,8 +292,25 @@ class ScheduleServer:
             "dispatcher": self.dispatcher.stats(),
         }
 
-    def _parse_body(self, request: HttpRequest) -> Any:
-        return load_request_text(request.body.decode("utf-8", errors="replace"))
+    def _parse_body(self, request: HttpRequest) -> ScheduleRequest | BatchRequest:
+        """The request model of *request*'s body, memoised on its exact bytes.
+
+        A repeated body gets back the same frozen model, whose specs
+        keep their hash memos, so a warm resubmit parses and hashes
+        nothing.  A body that fails validation raises every time: only
+        models are memoised.
+        """
+        body = request.body
+        model = self._bodies.get(body)
+        if model is not None:
+            self._bodies.move_to_end(body)
+            return model
+        model = load_request_text(body.decode("utf-8", errors="replace"))
+        if len(body) <= _MEMO_BODY_BYTES:
+            self._bodies[body] = model
+            if len(self._bodies) > _MEMO_BODIES:
+                self._bodies.popitem(last=False)
+        return model
 
     def _submit_or_429(self, model: ScheduleRequest) -> Job:
         assert self.queue is not None and self.dispatcher is not None

@@ -9,6 +9,7 @@ deterministic and keep the two tiers consistent.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -18,6 +19,7 @@ import pytest
 
 from repro.campaign import InstanceSpec, ResultCache, run_campaign
 from repro.campaign import cache as cache_mod
+from repro.io import canonical_dumps
 
 
 def spec(n: int) -> InstanceSpec:
@@ -299,3 +301,95 @@ class TestStats:
         cache = ResultCache(tmp_path)
         assert cache.get(spec(4)) is None
         assert cache.stats.misses == 1
+
+
+class TestKeysAreTypeExact:
+    """A spec's key is its own content address, whatever was keyed before.
+
+    Specs that compare equal can still encode differently: ``4`` and
+    ``4.0`` (or ``1`` and ``True``) are ``==`` with equal hashes, but
+    their canonical JSON differs.  A key memo shared between such specs
+    would hand the second one the first one's key.
+    """
+
+    @staticmethod
+    def content_address(cache: ResultCache, target: InstanceSpec) -> str:
+        payload = canonical_dumps(
+            {"salt": cache.salt_for(target), "spec": target.to_dict()}
+        )
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+    @pytest.mark.parametrize(
+        "field_name, one, other",
+        [("params", (("width", 4),), (("width", 4.0),)), ("seed", 1, True)],
+    )
+    def test_key_does_not_depend_on_call_order(
+        self, tmp_path, field_name, one, other
+    ):
+        def make(value) -> InstanceSpec:
+            fields = {"seed": 3, field_name: value}
+            return InstanceSpec(
+                workload="layered", size=4, algorithm="heteroprio",
+                mode="independent", bound="area", **fields,
+            )
+
+        assert make(one) == make(other)
+        cache = ResultCache(tmp_path)
+        expected = (
+            self.content_address(cache, make(one)),
+            self.content_address(cache, make(other)),
+        )
+        assert expected[0] != expected[1]
+        # Each order keys fresh objects of both spellings.
+        one_first = cache.key(make(one)), cache.key(make(other))
+        other_first = cache.key(make(other)), cache.key(make(one))
+        assert one_first == expected
+        assert other_first == expected[::-1]
+
+
+class TestSpecHashPins:
+    """Literal content addresses: memoising the hash moves no key."""
+
+    @pytest.mark.parametrize(
+        "target, code_version, other",
+        [
+            (
+                InstanceSpec(workload="cholesky", size=4, algorithm="heteroprio-min"),
+                "bc045692e8fb4a94389f9cf1ab039473661dfc432af8b00fe2b9c8d4494456f6",
+                "e36bdef2b1e71c1544c4c999c9f4fcb46b587c72f2e56986b0253bc9c1b6c1bb",
+            ),
+            (
+                InstanceSpec(
+                    workload="qr", size=8, algorithm="dualhp",
+                    mode="independent", bound="area",
+                ),
+                "d5d0337aca0fc30149ffe2f8fe89a29d848967a5f60ec0dab59cf3de524e25a5",
+                "2190c0f41200be08b097d48931bbf5e32105ec2f97f2b3caa7f28a11900d9779",
+            ),
+            (
+                InstanceSpec(
+                    workload="layered", size=16, algorithm="heft",
+                    mode="independent", bound="area", seed=7,
+                    params=(("width", 4.0),),
+                ),
+                "357ee3fa3398bbd9c80be7da8e8f2328ccb275b744817861922d095e9d7c82a2",
+                "748060474268b88b50760af5bfde3f00ae4cd53ccf00f02750142bb4e8e6ee7b",
+            ),
+            (
+                InstanceSpec(
+                    workload="chains", size=8, algorithm="heteroprio-avg",
+                    num_cpus=2, num_gpus=1, seed=11,
+                ),
+                "581c4a5f4a85fcc372707c87e0d4eab66b7364cf43768e17839025fbde83d2cc",
+                "57e8a15ace9580a486eb11582a8bceb3b4aa30179261f0c84a770c398c6ad563",
+            ),
+        ],
+        ids=["cholesky-dag", "qr-independent", "layered-params", "chains-seeded"],
+    )
+    def test_pinned(self, target, code_version, other):
+        for _ in range(2):  # computed, then memoised
+            assert target.spec_hash() == code_version
+            assert target.spec_hash(salt="other") == other
+        fresh = InstanceSpec.from_dict(target.to_dict())
+        assert fresh.spec_hash(salt="other") == other
+        assert fresh.spec_hash() == code_version

@@ -9,21 +9,26 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import math
 
 import pytest
 
 from repro import io
 from repro.campaign import CODE_VERSION, InstanceSpec, execute_spec
+from repro.campaign import spec as spec_mod
 from repro.campaign.cache import encode_value
+from repro.service import server as server_mod
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.models import (
+    BatchRequest,
     PolicySpec,
     RetryPolicy,
     ScheduleRequest,
     WorkloadSpec,
+    load_request_text,
 )
-from repro.service.server import ScheduleServer
+from repro.service.server import HttpRequest, ScheduleServer
 
 
 def make_request(**overrides) -> ScheduleRequest:
@@ -352,3 +357,118 @@ class TestHttpSurface:
                 assert stats["queue"]["retries"] == 1
 
         asyncio.run(body())
+
+
+async def post_raw(server: ScheduleServer, path: str, body: bytes) -> int:
+    """POST *body* verbatim (no JSON encoding); returns the HTTP status."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    head = f"POST {path} HTTP/1.1\r\ncontent-length: {len(body)}\r\n\r\n"
+    writer.write(head.encode("latin-1") + body)
+    await writer.drain()
+    status = int((await reader.readline()).split()[1])
+    await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return status
+
+
+def http_post(body: bytes) -> HttpRequest:
+    return HttpRequest("POST", "/v1/schedule", {}, body)
+
+
+class TestBodyMemo:
+    """A warm resubmit parses and hashes nothing: pinned by counts."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"parses": 0, "hashes": 0}
+        parse, digest = server_mod.load_request_text, spec_mod._digest
+
+        def counting_parse(text):
+            counts["parses"] += 1
+            return parse(text)
+
+        def counting_digest(spec, salt):
+            counts["hashes"] += 1
+            return digest(spec, salt)
+
+        monkeypatch.setattr(server_mod, "load_request_text", counting_parse)
+        monkeypatch.setattr(spec_mod, "_digest", counting_digest)
+        return counts
+
+    def test_resubmitted_body_parses_and_hashes_nothing(self, tmp_path, counts):
+        async def body():
+            async with running_server(cache_dir=str(tmp_path)) as (server, client):
+                cold = await client.submit(make_request())
+                assert cold[-1]["cached"] is False
+                assert counts["parses"] == 1 and counts["hashes"] > 0
+                counts.update(parses=0, hashes=0)
+                for _ in range(3):
+                    warm = await client.submit(make_request())
+                    assert warm[-1]["cached"] is True
+                    assert warm[-1]["metrics"] == cold[-1]["metrics"]
+                assert counts == {"parses": 0, "hashes": 0}
+                stats = await client.stats()
+                assert stats["dispatcher"]["cache_hits"] == 3
+
+        asyncio.run(body())
+
+    def test_malformed_body_is_400_on_every_submit(self, counts):
+        unknown_family = json.dumps(
+            {"workload": {"family": "svd", "size": 4},
+             "policy": {"algorithm": "heteroprio-min"}}
+        ).encode("utf-8")
+
+        async def body():
+            async with running_server(cache_dir=None) as (server, client):
+                for bad in (b'{"workload": {', unknown_family):
+                    for path in ("/v1/schedule", "/v1/batch"):
+                        assert await post_raw(server, path, bad) == 400
+                        assert await post_raw(server, path, bad) == 400
+                assert counts["parses"] == 8
+                assert not server._bodies
+
+        asyncio.run(body())
+
+    def test_memo_is_bounded_by_entries_and_body_size(self, monkeypatch, counts):
+        monkeypatch.setattr(server_mod, "_MEMO_BODIES", 3)
+        server = ScheduleServer()
+        bodies = [
+            json.dumps(make_request(workload=WorkloadSpec(family="qr", size=n))
+                       .to_dict()).encode("utf-8")
+            for n in range(1, 6)
+        ]
+        for raw in bodies:
+            server._parse_body(http_post(raw))
+        assert list(server._bodies) == bodies[2:]
+        server._parse_body(http_post(bodies[2]))  # a hit refreshes recency
+        server._parse_body(http_post(bodies[0]))
+        assert list(server._bodies) == [bodies[4], bodies[2], bodies[0]]
+        assert counts["parses"] == 6
+
+        big = bodies[0] + b" " * server_mod._MEMO_BODY_BYTES
+        first = server._parse_body(http_post(big))
+        assert server._parse_body(http_post(big)) == first
+        assert counts["parses"] == 8
+        assert big not in server._bodies and len(server._bodies) == 3
+
+    def test_memoised_model_keys_like_a_fresh_parse(self):
+        server = ScheduleServer()
+        batch = BatchRequest(requests=(
+            make_request(),
+            make_request(workload=WorkloadSpec(family="layered", size=3, seed=5,
+                                               params=(("width", 2),)),
+                         tenant="team-a"),
+        ))
+        for text in (make_request().canonical_json(), batch.canonical_json()):
+            raw = text.encode("utf-8")
+            memoised = server._parse_body(http_post(raw))
+            assert server._parse_body(http_post(raw)) is memoised
+            fresh = load_request_text(text)
+            assert fresh == memoised
+            items = getattr(memoised, "requests", (memoised,))
+            fresh_items = getattr(fresh, "requests", (fresh,))
+            for salt in (CODE_VERSION, "other"):
+                assert [r.request_key(salt=salt) for r in items] == [
+                    r.request_key(salt=salt) for r in fresh_items
+                ]
