@@ -19,7 +19,8 @@ them through the shared cache-backed engine, and streams results:
   cold misses executed on a ``multiprocessing`` pool off the event
   loop;
 * :mod:`~repro.service.server` / :mod:`~repro.service.client` — a
-  stdlib-only HTTP/1.1 server (``asyncio.start_server``) and the
+  stdlib-only HTTP/1.1 server (one :class:`asyncio.Protocol` per
+  connection, answering cache hits inside its read callback) and the
   matching client;
 * :mod:`~repro.service.cli` — the ``repro serve`` / ``repro submit``
   subcommand bodies.

@@ -9,7 +9,10 @@ One :class:`Dispatcher` owns the compute resources of a server:
   :class:`~repro.campaign.cache.ResultCache` is answered without
   touching an executor (counted in ``cache_hits``): from the in-process
   memory tier when it is warm — a ``prefetch`` or an earlier request
-  populates it — falling back to a disk read that feeds the tier;
+  populates it — falling back to a disk read that feeds the tier.
+  :meth:`Dispatcher.lookup` is that path, synchronous: the server
+  answers an all-hit submit with it at admission, and
+  :meth:`Dispatcher.run` starts with it;
 * **single-flight** — concurrent requests for the same (tenant, spec
   hash) coalesce onto one in-flight execution; followers await the
   leader's future instead of recomputing (counted in ``coalesced``);
@@ -37,7 +40,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.campaign.cache import CacheStats, ResultCache
 from repro.campaign.executor import (
@@ -132,22 +135,42 @@ class Dispatcher:
 
     # -- execution -----------------------------------------------------------
 
-    async def run(self, spec: InstanceSpec, *, tenant: str = "") -> DispatchResult:
-        """Resolve one spec: warm hit, coalesced follow, or cold execute."""
-        self.counters["requests"] += 1
-        key = spec.spec_hash(salt=self.salt)
-        cache = self.cache_for(tenant)
-        if cache is not None:
-            entry = cache.get(spec)
-            if entry is not None:
-                self.counters["cache_hits"] += 1
-                return DispatchResult(
+    def lookup(
+        self, items: Sequence[tuple[InstanceSpec, str]]
+    ) -> list[DispatchResult] | None:
+        """The warm hits of every ``(spec, tenant)`` in *items*, or ``None``.
+
+        Probes the tenant caches in order and stops at the first miss,
+        counting nothing.  When every item hits, each counts as one
+        served request and one cache hit.
+        """
+        hits = []
+        for spec, tenant in items:
+            cache = self.cache_for(tenant)
+            entry = None if cache is None else cache.get(spec)
+            if entry is None:
+                return None
+            hits.append(
+                DispatchResult(
                     metrics=entry["metrics"],
                     cached=True,
                     coalesced=False,
                     elapsed_s=float(entry.get("elapsed_s", 0.0)),
-                    key=key,
+                    key=spec.spec_hash(salt=self.salt),
                 )
+            )
+        self.counters["requests"] += len(hits)
+        self.counters["cache_hits"] += len(hits)
+        return hits
+
+    async def run(self, spec: InstanceSpec, *, tenant: str = "") -> DispatchResult:
+        """Resolve one spec: warm hit, coalesced follow, or cold execute."""
+        hits = self.lookup([(spec, tenant)])
+        if hits is not None:
+            return hits[0]
+        self.counters["requests"] += 1
+        key = spec.spec_hash(salt=self.salt)
+        cache = self.cache_for(tenant)
 
         flight = (tenant, key)
         leader_future = self._inflight.get(flight)

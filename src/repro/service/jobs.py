@@ -23,7 +23,14 @@ the dispatcher.  Contracts:
 * **continue-on-error batches** — :meth:`JobQueue.submit_batch` admits
   a batch atomically (all or 429), :meth:`JobQueue.wait_batch` either
   lets every item run or cancels the unstarted remainder after the
-  first failure.
+  first failure;
+* **already-answered jobs** — :meth:`JobQueue.submit_answered` admits a
+  request whose result the caller already holds (a cache hit at
+  admission): it counts as submitted and succeeded, but is never live
+  and never enqueued;
+* **bounded memory** — the job table keeps every live job and the
+  :data:`SETTLED_RETAINED` most recently settled ones; an older id is
+  forgotten, so :meth:`JobQueue.get` returns ``None`` for it.
 """
 
 from __future__ import annotations
@@ -32,13 +39,18 @@ import asyncio
 import itertools
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Awaitable, Callable, Sequence
 
 from repro.service.models import BatchRequest, ScheduleRequest
 
-__all__ = ["JobState", "Job", "JobQueue", "QueueFull"]
+__all__ = ["JobState", "Job", "JobQueue", "QueueFull", "SETTLED_RETAINED"]
+
+#: How many settled jobs the queue keeps for status and result queries
+#: (the most recently settled ones); live jobs are always kept.
+SETTLED_RETAINED = 1024
 
 
 class QueueFull(Exception):
@@ -93,6 +105,16 @@ class Job:
             "tenant": self.request.tenant,
         }
 
+    def admitted_dict(self) -> dict[str, Any]:
+        """:meth:`to_dict` as of admission: queued, unattempted, uncached."""
+        return {
+            **self.to_dict(),
+            "state": JobState.QUEUED.value,
+            "attempts": 0,
+            "cached": False,
+            "error": None,
+        }
+
 
 #: The runner executes one admitted job and returns its result payload:
 #: ``(metrics, cached, elapsed_s)``.  Raising marks the attempt failed
@@ -123,6 +145,7 @@ class JobQueue:
         self._sleep: SleepFn = asyncio.sleep if sleep is None else sleep
         self._pending: "asyncio.Queue[Job]" = asyncio.Queue()
         self._jobs: dict[str, Job] = {}
+        self._settled_ids: deque[str] = deque()  # retained, oldest first
         self._live = 0  # queued + running (the capacity measure)
         self._ids = itertools.count(1)
         self._workers: list[asyncio.Task[None]] = []
@@ -161,7 +184,7 @@ class JobQueue:
             except asyncio.CancelledError:
                 pass
         self._workers = []
-        for job in self._jobs.values():
+        for job in list(self._jobs.values()):
             if not job.state.terminal:
                 job.state = JobState.CANCELLED
                 job.error = "server shutting down"
@@ -180,16 +203,44 @@ class JobQueue:
         waves = max(1.0, self._live / per_wave)
         return float(max(1, math.ceil(waves * self._avg_run_s)))
 
-    def submit(self, request: ScheduleRequest, *, key: str) -> Job:
-        """Admit one request, or raise :class:`QueueFull` at capacity."""
-        if self._live >= self.capacity:
+    def check_capacity(self, count: int = 1) -> None:
+        """Raise :class:`QueueFull` (a rejection) unless *count* more jobs fit."""
+        if self._live + count > self.capacity:
             self.stats_counters["rejected"] += 1
             raise QueueFull(self.retry_after_s(), self.capacity)
-        job = Job(id=f"j{next(self._ids):06d}", request=request, key=key)
-        self._jobs[job.id] = job
+
+    def submit(self, request: ScheduleRequest, *, key: str) -> Job:
+        """Admit one request, or raise :class:`QueueFull` at capacity."""
+        self.check_capacity()
+        job = self._new_job(request, key)
         self._live += 1
-        self.stats_counters["submitted"] += 1
         self._pending.put_nowait(job)
+        return job
+
+    def submit_answered(
+        self,
+        request: ScheduleRequest,
+        *,
+        key: str,
+        metrics: dict[str, Any],
+        cached: bool,
+        elapsed_s: float,
+    ) -> Job:
+        """Admit a request whose result is already known, settled at once.
+
+        The job reads as one successful attempt and counts as submitted
+        and succeeded; it is never live and never enqueued, so it takes
+        no capacity.  Capacity still gates the submit itself: callers
+        run :meth:`check_capacity` before they look the result up.
+        """
+        job = self._new_job(request, key)
+        job.state = JobState.SUCCEEDED
+        job.attempts = 1
+        job.result = metrics
+        job.cached = cached
+        job.elapsed_s = elapsed_s
+        job._settled = True
+        self._record(job)
         return job
 
     def submit_batch(self, batch: BatchRequest, *, keys: Sequence[str]) -> list[Job]:
@@ -199,9 +250,7 @@ class JobQueue:
         ambiguous (was the missing item rejected or cancelled?), so a
         batch that does not fit is rejected in one piece.
         """
-        if self._live + len(batch.requests) > self.capacity:
-            self.stats_counters["rejected"] += 1
-            raise QueueFull(self.retry_after_s(), self.capacity)
+        self.check_capacity(len(batch.requests))
         return [
             self.submit(request, key=key)
             for request, key in zip(batch.requests, keys)
@@ -266,12 +315,26 @@ class JobQueue:
 
     # -- internals -----------------------------------------------------------
 
+    def _new_job(self, request: ScheduleRequest, key: str) -> Job:
+        job = Job(id=f"j{next(self._ids):06d}", request=request, key=key)
+        self._jobs[job.id] = job
+        self.stats_counters["submitted"] += 1
+        return job
+
     def _settle(self, job: Job) -> None:
-        """Mark *job* finished exactly once (idempotent)."""
+        """Mark a live *job* finished exactly once (idempotent)."""
         if job._settled:
             return
         job._settled = True
         self._live -= 1
+        self._record(job)
+
+    def _record(self, job: Job) -> None:
+        """Count a settled job's outcome, wake its waiters and retain it.
+
+        Only the :data:`SETTLED_RETAINED` most recently settled jobs stay
+        in the table; the oldest settled one goes first.
+        """
         if job.state is JobState.SUCCEEDED:
             self.stats_counters["succeeded"] += 1
         elif job.state is JobState.FAILED:
@@ -279,6 +342,9 @@ class JobQueue:
         elif job.state is JobState.CANCELLED:
             self.stats_counters["cancelled"] += 1
         job._done.set()
+        self._settled_ids.append(job.id)
+        while len(self._settled_ids) > SETTLED_RETAINED:
+            del self._jobs[self._settled_ids.popleft()]
 
     async def _worker(self) -> None:
         while True:

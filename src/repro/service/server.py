@@ -3,9 +3,10 @@
 # campaign engine and never depend on the server clock.
 """`repro serve` — a stdlib-only asyncio HTTP front end for the engine.
 
-``asyncio.start_server`` plus a minimal HTTP/1.1 parser (no new
-dependencies); every connection carries one request and is closed after
-the response, with ``Connection: close`` delimiting streamed bodies.
+One :class:`asyncio.Protocol` per connection (``loop.create_server``)
+plus a minimal HTTP/1.1 parser (no new dependencies); every connection
+carries one request and is closed after the response, with
+``Connection: close`` delimiting streamed bodies.
 
 Endpoints::
 
@@ -24,6 +25,15 @@ event.  ``?wait=0`` returns ``202`` with the job id immediately;
 poll ``/v1/jobs/<id>`` and fetch ``/v1/jobs/<id>/result``.  A submit
 past queue capacity gets ``429`` with a ``Retry-After`` header.
 
+A request that needs no waiting is answered inside the protocol's
+``data_received`` callback, with one ``transport.write``: the status
+endpoints, every error, a ``?wait=0`` submit, and a submit — single or
+batch — whose every item is a cache hit at admission.  Only a request
+that must wait on a job (a miss, a batch with a miss,
+``/v1/jobs/<id>/result``) gets a task, which streams the rest of its
+response through the connection.  Once an NDJSON head is out, a failure
+ends the stream with one ``error`` event line.
+
 Metrics travel NaN/inf-safe via the campaign cache codec
 (:func:`repro.campaign.cache.encode_value`) and every body line is
 canonical JSON, so equal results are byte-equal on the wire.
@@ -34,7 +44,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict
-from typing import Any, Mapping
+from typing import Any, Coroutine, Mapping, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.campaign.cache import encode_value
@@ -97,16 +107,12 @@ class _HttpError(Exception):
         super().__init__(message)
 
 
-async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
-    """Parse one request off the stream; ``None`` on a clean EOF."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise _HttpError(400, "truncated request head") from None
-    except asyncio.LimitOverrunError:
-        raise _HttpError(413, "request head too large") from None
+def _parse_head(head: bytes) -> tuple[str, str, dict[str, str], int]:
+    """Method, target, headers and body length of a request head.
+
+    *head* runs through its blank line.  Malformed input is a 400 and an
+    oversized head or body a 413.
+    """
     if len(head) > _MAX_HEADER_BYTES:
         raise _HttpError(413, "request head too large")
     lines = head.decode("latin-1").split("\r\n")
@@ -122,7 +128,7 @@ async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
         if not sep:
             raise _HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
-    body = b""
+    length = 0
     if "content-length" in headers:
         try:
             length = int(headers["content-length"])
@@ -130,10 +136,9 @@ async def _read_request(reader: asyncio.StreamReader) -> HttpRequest | None:
             raise _HttpError(400, "malformed Content-Length") from None
         if length < 0 or length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
-        body = await reader.readexactly(length)
     elif method in ("POST", "PUT"):
         raise _HttpError(400, "POST requires Content-Length")
-    return HttpRequest(method, target, headers, body)
+    return method, target, headers, length
 
 
 def _head_bytes(status: int, headers: dict[str, str]) -> bytes:
@@ -143,8 +148,154 @@ def _head_bytes(status: int, headers: dict[str, str]) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+_NDJSON_HEAD = _head_bytes(200, {"content-type": "application/x-ndjson"})
+
+
 def _json_body(payload: Any) -> bytes:
     return (canonical_dumps(encode_value(payload)) + "\n").encode("utf-8")
+
+
+def _json_response(
+    status: int, payload: Any, headers: dict[str, str] | None = None
+) -> bytes:
+    body = _json_body(payload)
+    head = {
+        "content-type": "application/json",
+        "content-length": str(len(body)),
+        **(headers or {}),
+    }
+    return _head_bytes(status, head) + body
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: reads its request, then writes the answer.
+
+    The protocol buffers bytes until a whole request is in, then hands
+    it to the server once; later bytes are ignored.  A streamed answer
+    writes through :meth:`write` and :meth:`drain`, which go quiet once
+    the client has gone away.
+    """
+
+    def __init__(self, server: "ScheduleServer"):
+        self._server = server
+        self._buffer = bytearray()
+        self._scanned = 0  # buffer bytes known to hold no head terminator
+        self._head: tuple[str, str, dict[str, str], int] | None = None
+        self._body_at = 0
+        self.received = False  # a whole request (or a parse error) is in
+        self._streaming = False  # an NDJSON head is out: the status is sent
+        self._transport: asyncio.Transport | None = None
+        self._paused = False
+        self._resumed: "asyncio.Future[None] | None" = None
+
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.received:
+            return
+        self._buffer += data
+        try:
+            request = self._parse()
+        except _HttpError as exc:
+            self.received = True
+            self.fail(exc.status, {"error": exc.message}, exc.headers)
+            return
+        if request is not None:
+            self.received = True
+            self._server._serve(self, request)
+
+    def eof_received(self) -> bool:
+        if self.received:
+            return True  # half-closed: the answer can still go out
+        self.received = True
+        if self._buffer and self._head is None:
+            self.fail(400, {"error": "truncated request head"})
+        # A clean EOF, or one inside the body, gets no answer.
+        return False
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._connections.discard(self)
+        self._wake()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake()
+
+    # -- parsing ---------------------------------------------------------
+
+    def _parse(self) -> HttpRequest | None:
+        """The buffered request once it is whole, else ``None``."""
+        buffer = self._buffer
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n", self._scanned)
+            if end < 0:
+                if len(buffer) > _MAX_HEADER_BYTES:
+                    raise _HttpError(413, "request head too large")
+                self._scanned = max(0, len(buffer) - 3)
+                return None
+            self._body_at = end + 4
+            self._head = _parse_head(bytes(buffer[: self._body_at]))
+        method, target, headers, length = self._head
+        if len(buffer) < self._body_at + length:
+            return None
+        body = bytes(buffer[self._body_at : self._body_at + length])
+        return HttpRequest(method, target, headers, body)
+
+    # -- writing ---------------------------------------------------------
+
+    def write(self, data: bytes) -> None:
+        """Send *data*; a no-op once the client has gone away."""
+        transport = self._transport
+        if transport is not None and not transport.is_closing():
+            transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait while the transport's write buffer is over its high mark."""
+        transport = self._transport
+        if self._paused and transport is not None and not transport.is_closing():
+            self._resumed = asyncio.get_running_loop().create_future()
+            await self._resumed
+
+    def _wake(self) -> None:
+        resumed, self._resumed = self._resumed, None
+        if resumed is not None and not resumed.done():
+            resumed.set_result(None)
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+    def send(self, data: bytes) -> None:
+        """Answer in one write and close."""
+        self.write(data)
+        self.close()
+
+    def start_stream(self, data: bytes) -> None:
+        """Send the NDJSON head (and any first lines) of a streamed answer."""
+        self._streaming = True
+        self.write(data)
+
+    def fail(
+        self, status: int, payload: dict[str, Any], headers: dict[str, str] | None = None
+    ) -> None:
+        """Answer with an error and close.
+
+        Before a stream starts this is a whole JSON response.  Once the
+        NDJSON head is out the status is sent, so the stream ends with
+        one ``error`` event carrying the same payload instead.
+        """
+        if self._streaming:
+            self.send(_json_body({"event": "error", **payload}))
+        else:
+            self.send(_json_response(status, payload, headers))
 
 
 class ScheduleServer:
@@ -178,6 +329,8 @@ class ScheduleServer:
         self.dispatcher: Dispatcher | None = None
         self.queue: JobQueue | None = None
         self._server: "asyncio.Server | None" = None
+        self._connections: set[_Connection] = set()
+        self._tasks: set["asyncio.Task[None]"] = set()
         self._started_monotonic = 0.0
 
     # -- lifecycle -----------------------------------------------------------
@@ -197,8 +350,9 @@ class ScheduleServer:
             concurrency=int(cfg["concurrency"]),
         )
         self.queue.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_monotonic = time.monotonic()
@@ -211,12 +365,17 @@ class ScheduleServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening, settle every job and await the streams started."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
+        for conn in list(self._connections):
+            if not conn.received:
+                conn.close()  # no request yet: none will be served
         if self.queue is not None:
             await self.queue.close()
+        while self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
         if self.dispatcher is not None:
             self.dispatcher.close()
 
@@ -227,50 +386,49 @@ class ScheduleServer:
         )
         return result.metrics, result.cached, result.elapsed_s
 
-    # -- connection handling -------------------------------------------------
+    # -- request handling ----------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve(self, conn: _Connection, request: HttpRequest) -> None:
+        """Answer *request* now, or start the task that streams its answer."""
         try:
-            try:
-                request = await _read_request(reader)
-                if request is None:
-                    return
-                await self._route(request, writer)
-            except _HttpError as exc:
-                await self._send_json(
-                    writer, exc.status, {"error": exc.message}, headers=exc.headers
-                )
-            except ValidationError as exc:
-                await self._send_json(
-                    writer, 400, {"error": "invalid request", "details": exc.errors}
-                )
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass  # client went away mid-exchange
-            except Exception as exc:  # noqa: BLE001 - last-resort 500
-                await self._send_json(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._route(conn, request)
+        except _HttpError as exc:
+            conn.fail(exc.status, {"error": exc.message}, exc.headers)
+        except ValidationError as exc:
+            conn.fail(400, {"error": "invalid request", "details": exc.errors})
+        except QueueFull as exc:
+            conn.fail(
+                429, {"error": str(exc)}, {"retry-after": str(int(exc.retry_after_s))}
+            )
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            conn.fail(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    async def _route(self, request: HttpRequest, writer: asyncio.StreamWriter) -> None:
+    def _stream(self, conn: _Connection, rest: Coroutine[Any, Any, None]) -> None:
+        """Finish *conn*'s streamed answer in a task that ``close`` awaits."""
+        task = asyncio.get_running_loop().create_task(self._finish(conn, rest))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _finish(self, conn: _Connection, rest: Coroutine[Any, Any, None]) -> None:
+        try:
+            await rest
+        except Exception as exc:  # noqa: BLE001 - last resort, mid-stream
+            conn.fail(500, {"error": f"{type(exc).__name__}: {exc}"})
+        finally:
+            conn.close()
+
+    def _route(self, conn: _Connection, request: HttpRequest) -> None:
         method, path = request.method, request.path
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, self._health_payload())
+            conn.send(_json_response(200, self._health_payload()))
         elif path == "/v1/stats" and method == "GET":
-            await self._send_json(writer, 200, self._stats_payload())
+            conn.send(_json_response(200, self._stats_payload()))
         elif path == "/v1/schedule" and method == "POST":
-            await self._handle_schedule(request, writer)
+            self._handle_schedule(conn, request)
         elif path == "/v1/batch" and method == "POST":
-            await self._handle_batch(request, writer)
+            self._handle_batch(conn, request)
         elif path.startswith("/v1/jobs/"):
-            await self._handle_job(request, writer)
+            self._handle_job(conn, request)
         elif path in ("/healthz", "/v1/stats", "/v1/schedule", "/v1/batch"):
             raise _HttpError(405, f"{method} not supported on {path}")
         else:
@@ -312,73 +470,112 @@ class ScheduleServer:
                 self._bodies.popitem(last=False)
         return model
 
-    def _submit_or_429(self, model: ScheduleRequest) -> Job:
-        assert self.queue is not None and self.dispatcher is not None
-        try:
-            return self.queue.submit(
-                model, key=model.request_key(salt=self.dispatcher.salt)
-            )
-        except QueueFull as exc:
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={"retry-after": str(int(exc.retry_after_s))},
-            ) from None
+    def _admit(self, batch: BatchRequest) -> tuple[list[Job], bool]:
+        """Admit *batch*'s items as jobs; ``True`` if the cache answered all.
 
-    async def _handle_schedule(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> None:
+        At capacity this raises :class:`QueueFull` (a 429), hit or not.
+        Otherwise the items are looked up in order: if every one is a
+        cache hit, each is admitted already answered (settled, never
+        queued); else all are queued.
+        """
+        assert self.queue is not None and self.dispatcher is not None
+        queue, salt = self.queue, self.dispatcher.salt
+        items = batch.requests
+        queue.check_capacity(len(items))
+        keys = [item.request_key(salt=salt) for item in items]
+        hits = self.dispatcher.lookup(
+            [(item.to_instance_spec(), item.tenant) for item in items]
+        )
+        if hits is None:
+            return queue.submit_batch(batch, keys=keys), False
+        return [
+            queue.submit_answered(
+                item, key=key, metrics=hit.metrics, cached=hit.cached,
+                elapsed_s=hit.elapsed_s,
+            )
+            for item, key, hit in zip(items, keys, hits)
+        ], True
+
+    def _handle_schedule(self, conn: _Connection, request: HttpRequest) -> None:
         model = self._parse_body(request)
         if isinstance(model, BatchRequest):
             raise ValidationError(
                 "kind: got a batch payload; submit it to /v1/batch"
             )
-        job = self._submit_or_429(model)
+        assert self.queue is not None and self.dispatcher is not None
         if request.query.get("wait") == "0":
-            await self._send_json(
-                writer,
-                202,
-                {**job.to_dict(), "result_url": f"/v1/jobs/{job.id}/result"},
+            job = self.queue.submit(
+                model, key=model.request_key(salt=self.dispatcher.salt)
+            )
+            conn.send(
+                _json_response(
+                    202, {**job.to_dict(), "result_url": f"/v1/jobs/{job.id}/result"}
+                )
             )
             return
-        assert self.queue is not None
-        await self._start_ndjson(writer)
-        await self._write_line(writer, {"event": "accepted", **job.to_dict()})
-        await self.queue.wait(job)
-        await self._write_line(writer, self._terminal_event(job))
+        (job,), answered = self._admit(BatchRequest(requests=(model,)))
+        accepted = _NDJSON_HEAD + _json_body(
+            {"event": "accepted", **job.admitted_dict()}
+        )
+        if answered:
+            conn.send(accepted + _json_body(self._terminal_event(job)))
+            return
+        conn.start_stream(accepted)
+        self._stream(conn, self._stream_result(conn, job))
 
-    async def _handle_batch(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> None:
+    def _handle_batch(self, conn: _Connection, request: HttpRequest) -> None:
         model = self._parse_body(request)
         if isinstance(model, ScheduleRequest):
             model = BatchRequest(requests=(model,))
-        assert self.queue is not None and self.dispatcher is not None
-        salt = self.dispatcher.salt
-        keys = [item.request_key(salt=salt) for item in model.requests]
-        try:
-            jobs = self.queue.submit_batch(model, keys=keys)
-        except QueueFull as exc:
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={"retry-after": str(int(exc.retry_after_s))},
-            ) from None
-        await self._start_ndjson(writer)
-        await self._write_line(
-            writer,
+        jobs, answered = self._admit(model)
+        accepted = _NDJSON_HEAD + _json_body(
             {
                 "event": "accepted",
                 "batch": [job.id for job in jobs],
                 "continue_on_error": model.continue_on_error,
-            },
+            }
         )
+        if answered:
+            lines = [_json_body(self._terminal_event(job)) for job in jobs]
+            conn.send(b"".join([accepted, *lines, _json_body(_batch_done(jobs))]))
+            return
+        conn.start_stream(accepted)
+        self._stream(conn, self._stream_batch(conn, model, jobs))
+
+    def _handle_job(self, conn: _Connection, request: HttpRequest) -> None:
+        assert self.queue is not None
+        rest = request.path[len("/v1/jobs/") :]
+        job_id, _, tail = rest.partition("/")
+        job = self.queue.get(job_id)
+        if job is None:
+            raise _HttpError(404, f"unknown job {job_id!r}")
+        if tail == "" and request.method == "GET":
+            conn.send(_json_response(200, job.to_dict()))
+        elif tail == "" and request.method == "DELETE":
+            cancelled = self.queue.cancel(job.id)
+            conn.send(
+                _json_response(200, {**job.to_dict(), "cancel_requested": cancelled})
+            )
+        elif tail == "result" and request.method == "GET":
+            conn.start_stream(_NDJSON_HEAD)
+            self._stream(conn, self._stream_result(conn, job))
+        else:
+            raise _HttpError(404, f"no route for {request.path}")
+
+    async def _stream_result(self, conn: _Connection, job: Job) -> None:
+        assert self.queue is not None
+        await self.queue.wait(job)
+        conn.write(_json_body(self._terminal_event(job)))
+
+    async def _stream_batch(
+        self, conn: _Connection, model: BatchRequest, jobs: Sequence[Job]
+    ) -> None:
+        assert self.queue is not None and self.dispatcher is not None
         # Warm each tenant's cache through the lockstep batch engine
         # (independent seed sweeps of LOCKSTEP_MIN_ROWS or more specs;
         # the rest run per job) before draining the per-job results.
-        # Best-effort: jobs the
-        # queue already started simply recompute the same (bit-exact)
-        # payload instead of hitting the warm entry.
+        # Best-effort: jobs the queue already started simply recompute
+        # the same (bit-exact) payload instead of hitting the warm entry.
         by_tenant: dict[str, list[Any]] = {}
         for item in model.requests:
             by_tenant.setdefault(item.tenant, []).append(item.to_instance_spec())
@@ -389,38 +586,11 @@ class ScheduleServer:
             if failed:
                 self.queue.cancel(job.id)
             await self.queue.wait(job)
-            await self._write_line(writer, self._terminal_event(job))
+            conn.write(_json_body(self._terminal_event(job)))
+            await conn.drain()
             if job.state is JobState.FAILED and not model.continue_on_error:
                 failed = True
-        counts = {
-            "succeeded": sum(1 for j in jobs if j.state is JobState.SUCCEEDED),
-            "failed": sum(1 for j in jobs if j.state is JobState.FAILED),
-            "cancelled": sum(1 for j in jobs if j.state is JobState.CANCELLED),
-        }
-        await self._write_line(writer, {"event": "batch_done", **counts})
-
-    async def _handle_job(
-        self, request: HttpRequest, writer: asyncio.StreamWriter
-    ) -> None:
-        assert self.queue is not None
-        rest = request.path[len("/v1/jobs/") :]
-        job_id, _, tail = rest.partition("/")
-        job = self.queue.get(job_id)
-        if job is None:
-            raise _HttpError(404, f"unknown job {job_id!r}")
-        if tail == "" and request.method == "GET":
-            await self._send_json(writer, 200, job.to_dict())
-        elif tail == "" and request.method == "DELETE":
-            cancelled = self.queue.cancel(job.id)
-            await self._send_json(
-                writer, 200, {**job.to_dict(), "cancel_requested": cancelled}
-            )
-        elif tail == "result" and request.method == "GET":
-            await self._start_ndjson(writer)
-            await self.queue.wait(job)
-            await self._write_line(writer, self._terminal_event(job))
-        else:
-            raise _HttpError(404, f"no route for {request.path}")
+        conn.write(_json_body(_batch_done(jobs)))
 
     def _terminal_event(self, job: Job) -> dict[str, Any]:
         if job.state is JobState.SUCCEEDED:
@@ -434,31 +604,11 @@ class ScheduleServer:
             return {"event": "cancelled", **job.to_dict()}
         return {"event": "error", **job.to_dict()}
 
-    # -- response plumbing ---------------------------------------------------
 
-    async def _send_json(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: Any,
-        *,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        body = _json_body(payload)
-        head = {
-            "content-type": "application/json",
-            "content-length": str(len(body)),
-            **(headers or {}),
-        }
-        writer.write(_head_bytes(status, head) + body)
-        await writer.drain()
-
-    async def _start_ndjson(self, writer: asyncio.StreamWriter) -> None:
-        writer.write(
-            _head_bytes(200, {"content-type": "application/x-ndjson"})
-        )
-        await writer.drain()
-
-    async def _write_line(self, writer: asyncio.StreamWriter, payload: Any) -> None:
-        writer.write(_json_body(payload))
-        await writer.drain()
+def _batch_done(jobs: Sequence[Job]) -> dict[str, Any]:
+    return {
+        "event": "batch_done",
+        "succeeded": sum(1 for j in jobs if j.state is JobState.SUCCEEDED),
+        "failed": sum(1 for j in jobs if j.state is JobState.FAILED),
+        "cancelled": sum(1 for j in jobs if j.state is JobState.CANCELLED),
+    }

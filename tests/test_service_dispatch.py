@@ -212,6 +212,48 @@ class TestDispatcher:
         dispatcher.close()
 
 
+class TestLookup:
+    """The synchronous hit probe that both the server and ``run`` use."""
+
+    def test_all_hits_count_as_served_requests(self, tmp_path):
+        async def body():
+            dispatcher = Dispatcher(tmp_path, execute_fn=lambda spec: {"makespan": 7.0})
+            cold = await dispatcher.run(SPEC, tenant="a")
+            await dispatcher.run(OTHER)
+            hits = dispatcher.lookup([(SPEC, "a"), (OTHER, "")])
+            dispatcher.close()
+            assert hits is not None and [h.cached for h in hits] == [True, True]
+            assert hits[0].metrics == cold.metrics and hits[0].key == cold.key
+            assert not any(h.coalesced for h in hits)
+            assert dispatcher.counters["requests"] == 4
+            assert dispatcher.counters["cache_hits"] == 2
+
+        asyncio.run(body())
+
+    def test_a_miss_stops_the_probe_and_counts_nothing(self, tmp_path):
+        async def body():
+            dispatcher = Dispatcher(tmp_path, execute_fn=lambda spec: {"makespan": 7.0})
+            await dispatcher.run(SPEC)
+            before = dict(dispatcher.counters)
+            tiers = dispatcher.cache_tier_stats()
+            assert dispatcher.lookup([(OTHER, ""), (SPEC, "")]) is None
+            assert dispatcher.lookup([(SPEC, "b")]) is None  # other tenant
+            after = dispatcher.cache_tier_stats()
+            dispatcher.close()
+            assert dispatcher.counters == before
+            # Two probes, two misses: the first miss ended the first probe.
+            assert after["misses"] - tiers["misses"] == 2
+            assert after["memory_hits"] == tiers["memory_hits"]
+
+        asyncio.run(body())
+
+    def test_uncached_dispatcher_never_hits(self):
+        dispatcher = Dispatcher(None, execute_fn=lambda spec: {"makespan": 1.0})
+        assert dispatcher.lookup([(SPEC, "")]) is None
+        assert dispatcher.counters["requests"] == 0
+        dispatcher.close()
+
+
 class TestPrefetch:
     def seed_sweep(
         self, rows: int = LOCKSTEP_MIN_ROWS, algorithm: str = "heteroprio"

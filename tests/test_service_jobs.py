@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.service import jobs as jobs_mod
 from repro.service.jobs import JobQueue, JobState, QueueFull
 from repro.service.models import (
     BatchRequest,
@@ -271,5 +272,114 @@ class TestStats:
             assert stats["depth"] == 0
             assert stats["capacity"] == 4
             assert stats["retry_after_s"] >= 1
+
+        asyncio.run(body())
+
+
+class TestAnsweredJobs:
+    def test_answered_job_is_settled_counted_and_never_queued(self):
+        async def body():
+            ran = []
+
+            async def runner(job):
+                ran.append(job.id)
+                return METRICS, False, 0.0
+
+            queue = JobQueue(runner, capacity=1, concurrency=1)
+            queue.start()
+            job = queue.submit_answered(
+                make_request(), key="k", metrics=METRICS, cached=True,
+                elapsed_s=0.5,
+            )
+            assert job.state is JobState.SUCCEEDED and job._done.is_set()
+            assert (job.attempts, job.result, job.cached, job.elapsed_s) == (
+                1, METRICS, True, 0.5)
+            assert job.admitted_dict() == {
+                **job.to_dict(), "state": "queued", "attempts": 0,
+                "cached": False, "error": None,
+            }
+            assert queue.get(job.id) is job
+            assert queue.depth == 0 and queue._pending.empty()
+            stats = queue.stats()
+            assert (stats["submitted"], stats["succeeded"]) == (1, 1)
+            # It took no capacity: the one slot is still free.
+            await queue.wait(queue.submit(make_request(), key="k2"))
+            await queue.close()
+            assert len(ran) == 1 and job.id not in ran
+
+        asyncio.run(body())
+
+    def test_check_capacity_counts_a_rejection(self):
+        queue = JobQueue(ok_runner, capacity=2, concurrency=1)
+        queue.check_capacity(2)
+        with pytest.raises(QueueFull):
+            queue.check_capacity(3)
+        assert queue.stats_counters["rejected"] == 1
+
+
+class TestRetention:
+    """The job table keeps live jobs and the newest settled ones only."""
+
+    @pytest.fixture(autouse=True)
+    def small_retention(self, monkeypatch):
+        monkeypatch.setattr(jobs_mod, "SETTLED_RETAINED", 3)
+
+    @staticmethod
+    def answer(queue, n):
+        return [
+            queue.submit_answered(
+                make_request(), key=f"a{i}", metrics=METRICS, cached=True,
+                elapsed_s=0.0,
+            )
+            for i in range(n)
+        ]
+
+    def test_table_never_exceeds_retention_plus_live_jobs(self):
+        async def body():
+            queue = JobQueue(ok_runner, capacity=8, concurrency=2)
+            queue.start()
+            for _ in range(4):
+                run = [queue.submit(make_request(), key="r") for _ in range(2)]
+                self.answer(queue, 2)
+                assert len(queue._jobs) <= 3 + queue.depth
+                await queue.wait_batch(run)
+                assert len(queue._jobs) <= 3 + queue.depth
+            await queue.close()
+            assert len(queue._jobs) == 3
+
+        asyncio.run(body())
+
+    def test_oldest_settled_job_goes_first(self):
+        queue = JobQueue(ok_runner, capacity=8, concurrency=1)
+        jobs = self.answer(queue, 5)
+        assert [queue.get(job.id) for job in jobs[:2]] == [None, None]
+        assert [queue.get(job.id) for job in jobs[2:]] == jobs[2:]
+
+    def test_live_jobs_are_never_evicted(self):
+        async def body():
+            release = asyncio.Event()
+
+            async def blocked_runner(job):
+                await release.wait()
+                return METRICS, False, 0.0
+
+            queue = JobQueue(blocked_runner, capacity=4, concurrency=1)
+            queue.start()
+            running = queue.submit(make_request(), key="k0")
+            queued = queue.submit(make_request(), key="k1")
+            await asyncio.sleep(0)  # let the worker pick up k0
+            assert running.state is JobState.RUNNING
+            answered = self.answer(queue, 10)
+            assert queue.get(running.id) is running
+            assert queue.get(queued.id) is queued
+            assert queue.get(answered[6].id) is None
+            release.set()
+            await queue.wait_batch([running, queued])
+            # Now settled, the two are the newest and evict older answers.
+            assert queue.get(running.id) is running
+            assert queue.get(queued.id) is queued
+            assert [queue.get(job.id) for job in answered[-2:]] == [
+                None, answered[-1]]
+            await queue.close()
 
         asyncio.run(body())
