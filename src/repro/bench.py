@@ -36,18 +36,18 @@ wall-time ratio, so ``speedup_vs_pre_pr`` is meaningful on that
 machine and indicative elsewhere.
 
 With ``--batch``, the suite additionally runs the **batch cases**: the
-same fig6/fig7 grids advanced in lockstep — HeteroPrio on the DAG
-engine (:mod:`repro.simulator.batch`), HeteroPrio and DualHP on the
-independent schedulers (:mod:`repro.schedulers.batch`) — hundreds of
-instances per call.  Each
-batch case reports the aggregate ``batch_events_per_sec`` next to a
-scalar reference measured on a sample of the same rows (whose makespans
-the runner asserts bitwise-equal to the batch result; DualHP cases also
-pin the accepted λ), plus the derived ``batch_speedup``.  The offline
-HEFT/DualHP cases have no event loop; their unit of work is one
-placement per task on both sides of the ratio.  The regression gate covers ``batch_events_per_sec``
-with the same calibration-normalized threshold; a baseline key absent
-from the current run is skipped with a note naming that key.
+fig6 seed sweep advanced in lockstep — HeteroPrio on the lockstep
+engine (:mod:`repro.simulator.batch`), DualHP on the offline batch
+schedulers (:mod:`repro.schedulers.batch`) — hundreds of instances per
+call.  Each batch case reports the aggregate ``batch_events_per_sec``
+next to a scalar reference measured on a sample of the same rows
+(whose makespans the runner asserts bitwise-equal to the batch result;
+DualHP cases also pin the accepted λ), plus the derived
+``batch_speedup``.  The offline HEFT/DualHP cases have no event loop;
+their unit of work is one placement per task on both sides of the
+ratio.  The regression gate covers ``batch_events_per_sec`` with the
+same calibration-normalized threshold; a baseline key absent from the
+current run is skipped with a note naming that key.
 
 The **cache case** times the tiered result cache itself: one lookup
 sweep over warm entries per tier, reported as
@@ -89,7 +89,7 @@ from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
 from repro.schedulers.online import make_policy
-from repro.simulator.batch import batch_heteroprio_schedule, batch_simulate_dag
+from repro.simulator.batch import batch_heteroprio_schedule
 from repro.simulator.runtime import RuntimeSimulator
 
 __all__ = [
@@ -269,83 +269,6 @@ def _sample_rows(batch: int, sample: int) -> list[int]:
     return sorted({round(i * step) for i in range(sample)})
 
 
-def _batch_dag_case(
-    kernel: str,
-    n_tiles: int,
-    batch: int,
-    sample: int = 3,
-    repeats: int = 2,
-) -> BenchCase:
-    """A fig7 grid advanced in lockstep: *batch* rows of one DAG.
-
-    Rows share the compiled graph and priorities but carry per-row
-    duration noise, so spoliation patterns and event times diverge row
-    to row and the engine's masked sub-stepping is actually exercised
-    rather than replicating one trajectory.  A sample of rows is re-run
-    through the scalar simulator for the throughput denominator, and
-    the runner asserts the sampled makespans bitwise-equal to the batch
-    result — the report's speedup is over *verified-identical* work.
-    """
-    case_id = f"batch:fig7:{kernel}:n{n_tiles}:heteroprio:b{batch}"
-
-    def runner(reps: int) -> dict:
-        graph = build_compiled(kernel, n_tiles)
-        levels = assign_priorities(graph, PAPER_PLATFORM, "avg")
-        base_priorities = np.array([levels[task] for task in graph.tasks])
-        priorities = np.tile(base_priorities, (batch, 1))
-        rng = np.random.default_rng(20260807)
-        factors = rng.uniform(0.8, 1.25, size=(batch, 1))
-        cpu = graph.cpu_times[None, :] * factors
-        gpu = graph.gpu_times[None, :] * factors
-        result = None
-        wall = float("inf")
-        for _ in range(reps):
-            started = time.perf_counter()
-            candidate = batch_simulate_dag(
-                graph,
-                PAPER_PLATFORM,
-                priorities,
-                cpu_times=cpu,
-                gpu_times=gpu,
-            )
-            elapsed = time.perf_counter() - started
-            if elapsed < wall:
-                result, wall = candidate, elapsed
-        assert result is not None
-        # One warmed clone for every sample row: the simulator reads
-        # durations from the Task objects, so refreshing times in place
-        # reuses the materialized task tuple, the task index and the
-        # in-degree memo.  A fresh clone per row would pay those lazy
-        # builds inside each sample's timed region, inflating the
-        # scalar wall (and with it ``batch_speedup``) on small-n cases.
-        clone = graph.with_durations(cpu[0].copy(), gpu[0].copy())
-        clone_tasks = clone.tasks
-        scalar_events = 0
-        scalar_wall = 0.0
-        for row in _sample_rows(batch, sample):
-            for i, task in enumerate(clone_tasks):
-                task.cpu_time = float(cpu[row, i])
-                task.gpu_time = float(gpu[row, i])
-                task.priority = float(base_priorities[i])
-            sim = RuntimeSimulator(
-                clone, PAPER_PLATFORM, make_policy(_POLICIES["heteroprio"])
-            )
-            schedule = sim.run()
-            stats = sim.last_stats
-            assert stats is not None
-            scalar_events += stats.events
-            scalar_wall += stats.wall_s
-            assert schedule.makespan == float(result.makespans[row]), (
-                f"{case_id}: batch row {row} diverged from the scalar loop"
-            )
-        return _batch_payload(
-            result, wall, batch, scalar_events, scalar_wall, sample,
-            independent=False,
-        )
-
-    return BenchCase(case_id, runner, repeats)
-
-
 def _batch_independent_case(
     n_tasks: int,
     batch: int,
@@ -417,8 +340,7 @@ def _batch_independent_case(
                 f"{case_id}: batch row {row} diverged from the scalar core"
             )
         return _batch_payload(
-            result, wall, batch, scalar_events, scalar_wall, sample,
-            independent=True,
+            result, wall, batch, scalar_events, scalar_wall, sample
         )
 
     return BenchCase(case_id, runner, repeats)
@@ -431,19 +353,15 @@ def _batch_payload(
     scalar_events: int,
     scalar_wall: float,
     sample: int,
-    *,
-    independent: bool,
 ) -> dict:
     """Assemble one batch case's report payload."""
     stats = getattr(result, "stats", None)
     if stats is not None:
-        # Count like the scalar loops do: the independent core leaves one
-        # stale heap event per spoliation behind, which the batch engine
-        # (no event heap in static mode) never materializes — add aborts
-        # so scalar and batch events/sec measure the same work.  The DAG
-        # engine already counts stale (phantom) events like the scalar
-        # loop.
-        events = stats.events + (stats.aborts if independent else 0)
+        # Count like the scalar core does: it leaves one stale heap event
+        # per spoliation behind, which the batch engine (no event heap)
+        # never materializes — add aborts so scalar and batch events/sec
+        # measure the same work.
+        events = stats.events + stats.aborts
         payload = stats.to_dict()
     else:
         # Offline batch schedulers (HEFT/DualHP) have no event loop; the
@@ -661,20 +579,15 @@ QUICK_CASES: tuple[BenchCase, ...] = (
     _analyze_case(repeats=2),
 )
 
-#: The lockstep batch-engine grids (``--batch``): the fig7 sweep and
-#: the fig6 seed sweep, hundreds of rows per call.
+#: The lockstep batch grids (``--batch``): the fig6 seed sweep,
+#: hundreds of rows per call.
 BATCH_CASES: tuple[BenchCase, ...] = (
-    _batch_dag_case("cholesky", 12, batch=128),
-    _batch_dag_case("cholesky", 20, batch=256),
-    _batch_dag_case("qr", 14, batch=128),
-    _batch_dag_case("lu", 14, batch=128),
     _batch_independent_case(2000, batch=256),
     _batch_independent_case(2000, batch=256, algorithm="dualhp"),
 )
 
 #: The ``--quick --batch`` CI smoke subset.
 QUICK_BATCH_CASES: tuple[BenchCase, ...] = (
-    _batch_dag_case("cholesky", 12, batch=32, sample=2, repeats=2),
     _batch_independent_case(500, batch=64, sample=2, repeats=2),
     _batch_independent_case(
         500, batch=64, algorithm="dualhp", sample=2, repeats=2

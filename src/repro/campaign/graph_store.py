@@ -45,6 +45,21 @@ GRAPH_FORMAT_VERSION = 1
 #: their durations depend on RNG state, not on the key.
 REFERENCE_TIMING = "reference"
 
+#: What reading a damaged entry can raise.  Besides truncation and bad
+#: arrays, ``zipfile`` raises ``RuntimeError`` for a member whose header
+#: claims encryption and ``NotImplementedError`` for an unsupported flag
+#: bit or compression method.
+_UNREADABLE = (
+    OSError,
+    EOFError,
+    KeyError,
+    TypeError,
+    ValueError,
+    RuntimeError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+)
+
 
 class GraphStore:
     """Sharded, content-addressed store of compiled workload graphs.
@@ -92,8 +107,9 @@ class GraphStore:
     ) -> CompiledGraph | None:
         """The stored compiled graph, or ``None`` on a miss.
 
-        Corrupt or mismatched entries (wrong salt, wrong key) count as
-        misses rather than errors; the caller rebuilds and overwrites.
+        Corrupt or mismatched entries (damaged zip headers or data,
+        wrong salt, wrong key) count as misses rather than errors; the
+        caller rebuilds and overwrites.
         """
         path = self.path_for(workload, size, timing=timing)
         try:
@@ -102,7 +118,7 @@ class GraphStore:
                 if meta != self._meta(workload, size, timing):
                     return None
                 return CompiledGraph.from_arrays(str(data["name"][()]), data)
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        except _UNREADABLE:
             return None
 
     def put(
@@ -161,9 +177,7 @@ class GraphStore:
                     path == self.path_for(workload, size, timing=timing)
                     and self.get(workload, size, timing=timing) is not None
                 )
-            except (
-                OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile
-            ):
+            except _UNREADABLE:
                 keep = False
             if not keep:
                 try:

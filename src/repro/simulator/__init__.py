@@ -6,17 +6,14 @@ executes a :class:`~repro.dag.graph.TaskGraph` on a
 (:mod:`repro.schedulers.online`), maintaining the ready set as
 dependencies resolve and honouring spoliation requests.
 
-:mod:`repro.simulator.batch` is the lockstep sibling: it advances a
-whole batch of instances at once over shared compiled-graph arrays,
-event-for-event identical to the scalar loops here.
+:mod:`repro.simulator.batch` is the lockstep tier for independent
+tasks: it advances a whole batch of HeteroPrio instances at once over
+``(B, n)`` arrays, event-for-event identical to the scalar loop of
+:func:`repro.core.heteroprio.heteroprio_schedule`.
 """
 
 from repro.simulator.runtime import RuntimeSimulator, SimStats, simulate
-from repro.simulator.batch import (
-    BatchResult,
-    batch_heteroprio_schedule,
-    batch_simulate_dag,
-)
+from repro.simulator.batch import BatchResult, batch_heteroprio_schedule
 from repro.simulator.metrics import RunMetrics, compute_metrics
 
 __all__ = [
@@ -24,7 +21,6 @@ __all__ = [
     "RuntimeSimulator",
     "SimStats",
     "batch_heteroprio_schedule",
-    "batch_simulate_dag",
     "simulate",
     "RunMetrics",
     "compute_metrics",

@@ -1,64 +1,49 @@
 # repro-lint: disable=wall-clock -- SimStats.wall_s is bench telemetry
 # only; no simulated time or cached metric is derived from it.
-"""Lockstep batch execution of HeteroPrio.
+"""Lockstep batch execution of independent-task HeteroPrio.
 
 One interpreted Python event loop per instance is the binding constraint
 on seed-sweep throughput.  This module advances a whole *batch* of
-instances — rows of ``(seed, platform, priority)`` points that share one
-:class:`~repro.dag.compiled.CompiledGraph` structure or one
-independent-task recipe — in lockstep over numpy arrays:
+independent-task instances — rows of ``(seed, platform)`` points with
+the same task count — in lockstep over numpy arrays:
 
-* every piece of per-instance simulator state (worker end times, queue
-  positions, in-degrees) lives in a ``(B, ...)`` array with the batch
-  axis first;
+* every piece of per-instance state (worker end times, queue ends)
+  lives in a ``(B, ...)`` array with the batch axis first;
 * each main-loop iteration advances *every* row to its own next event
   window and retires all completions across the batch with a handful of
   vectorized operations;
-* per-row divergence — spoliation aborts, stale completion events, rows
-  whose queue runs dry — is handled by masked sub-stepping: rows that
+* per-row divergence — spoliation aborts, rows whose queue runs dry,
+  rows that finish early — is handled by masked sub-stepping: rows that
   take a given branch are selected with boolean masks and updated
   together, rows that don't are untouched.
 
-The engine owns everything policy-independent — worker slots, the
-dependency CSR, completion windows, placement records — and delegates
-each policy decision to the HeteroPrio *kernel* of
-:mod:`repro.simulator.batch_policies`, which expresses the scalar
-policy's picks as masked vector operations.  The campaign executor
-routes only independent-mode seed sweeps here
-(:func:`batch_heteroprio_schedule`); :func:`batch_simulate_dag` is the
-DAG-mode entry, kept for the bench and the differential suite.
+The campaign executor routes independent-mode seed sweeps here
+(:func:`batch_heteroprio_schedule`); DAG-mode HeteroPrio runs on the
+scalar simulator (:func:`repro.simulator.simulate`).
 
-Semantics are **event-for-event identical** to the scalar loops
-(:mod:`repro.simulator.runtime` for DAGs,
-:func:`repro.core.heteroprio.heteroprio_schedule` for independent
-tasks), which remain the authoritative differential references — see
+Semantics are **event-for-event identical** to the scalar loop of
+:func:`repro.core.heteroprio.heteroprio_schedule`, which remains the
+authoritative differential reference — see
 ``tests/test_batch_differential.py``.  Bit-identity matters beyond
 testing hygiene: campaign results are content-addressed under
 ``CODE_VERSION``, so the batch engine must reproduce the scalar floats
 exactly for the cache to stay valid.  The two properties that make this
 achievable:
 
-* both scalar loops process completions in ``(end, seq)`` heap order
-  and anchor each completion window at the first popped event; the
-  batch engine reproduces the exact pop order with a lexsort and the
-  exact anchor with per-row *phantom* events (see below);
+* the scalar loop processes completions in ``(end, seq)`` heap order,
+  skips stale (spoliated) events at the pop and anchors each completion
+  window at the first live one; the batch engine reproduces the exact
+  pop order with a lexsort and anchors each row's window at its
+  earliest live completion;
 * every arithmetic operation on times (``end = now + duration``, the
   spoliation improvement test) is the same IEEE-754 float64 operation
   in numpy as in CPython, applied to the same operands in the same
   association, so results match bit-for-bit.
 
-**Phantom events.**  The scalar DAG loop pops its event heap *before*
-checking staleness, so a spoliated (stale) completion still anchors the
-next window even though it retires nothing.  The batch engine keeps a
-tiny per-row heap of these stale times and anchors each row's window at
-``min(live completions, phantom events)`` — without it, batch and
-scalar windows drift apart after the first spoliation.  The scalar
-*independent* loop skips stale events at the pop instead, so the
-independent wrapper runs with phantoms disabled.
-
-Ready-queue layout is the kernel's business: HeteroPrio keeps the
-static affinity order (a two-ended window for independent rows, a
-membership mask for DAG rows) — see :mod:`repro.simulator.batch_policies`.
+The ready queue is the static acceleration-factor order
+(:func:`repro.core.heteroprio.batch_queue_order`).  Independent tasks
+only ever leave it from its two ends, so a ``[front, back]`` window per
+row is the whole queue state.
 
 Placements are recorded append-only into flat preallocated arrays in
 global chronological order; because each row's records land in its own
@@ -69,18 +54,15 @@ consumers that only need makespans (order-free maxima) never pay for it.
 
 from __future__ import annotations
 
-import heapq
 import time as _time
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from repro.core.heteroprio import SpoliationEvent
+from repro.core.heteroprio import SpoliationEvent, batch_queue_order
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
 from repro.core.task import Task
-from repro.dag.compiled import CompiledGraph, _ragged_gather
-from repro.simulator.batch_policies import HeteroPrioKernel
 from repro.simulator.runtime import SimStats
 
 __all__ = ["BatchResult", "batch_heteroprio_schedule", "batch_simulate_dag"]
@@ -167,7 +149,6 @@ class BatchResult:
         stats: SimStats,
         records: _Records,
         sp_chunks: dict[str, list[np.ndarray]],
-        default_tasks: tuple[Task, ...] | None,
     ):
         self.platforms = platforms
         self.workers = workers
@@ -182,7 +163,6 @@ class BatchResult:
         self.stats = stats
         self._records = records
         self._sp_chunks = sp_chunks
-        self._default_tasks = default_tasks
         self._offsets: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -208,24 +188,14 @@ class BatchResult:
             )
         return self._records, self._offsets
 
-    def _task_objects(self, tasks: Sequence[Task] | None) -> Sequence[Task]:
-        objs = self._default_tasks if tasks is None else tasks
-        if objs is None:
-            raise ValueError(
-                "this batch recorded no shared Task objects; pass tasks=..."
-            )
-        return objs
-
-    def schedule(self, i: int, tasks: Sequence[Task] | None = None) -> Schedule:
+    def schedule(self, i: int, tasks: Sequence[Task]) -> Schedule:
         """Materialize row *i* as a :class:`Schedule`.
 
-        ``tasks`` maps task indices to :class:`Task` objects (defaults
-        to the tasks the batch was built from, when shared).  Placement
-        order is the scalar loop's append order, so list-order-sensitive
-        consumers (metric sums, ``Schedule.tasks()``) see identical
-        output.
+        ``tasks`` maps row *i*'s task indices to its :class:`Task`
+        objects.  Placement order is the scalar loop's append order, so
+        list-order-sensitive consumers (metric sums,
+        ``Schedule.tasks()``) see identical output.
         """
-        task_objs = self._task_objects(tasks)
         rec, offsets = self._sorted_records()
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         row_workers = self.workers[i]
@@ -238,14 +208,11 @@ class BatchResult:
             rec.ends[lo:hi].tolist(),
             rec.flags[lo:hi].tolist(),
         ):
-            add(task_objs[t], row_workers[s], start, end=end, aborted=aborted)
+            add(tasks[t], row_workers[s], start, end=end, aborted=aborted)
         return schedule
 
-    def spoliations(
-        self, i: int, tasks: Sequence[Task] | None = None
-    ) -> list[SpoliationEvent]:
+    def spoliations(self, i: int, tasks: Sequence[Task]) -> list[SpoliationEvent]:
         """Row *i*'s spoliation events, in chronological order."""
-        task_objs = self._task_objects(tasks)
         chunks = self._sp_chunks
         if not chunks["rows"]:
             return []
@@ -257,7 +224,7 @@ class BatchResult:
         row_workers = self.workers[i]
         return [
             SpoliationEvent(
-                task=task_objs[int(t)],
+                task=tasks[int(t)],
                 victim_worker=row_workers[int(v)],
                 new_worker=row_workers[int(w)],
                 abort_time=float(at),
@@ -272,26 +239,21 @@ class BatchResult:
 
 
 class _LockstepEngine:
-    """The shared lockstep core; see the module docstring for the model."""
+    """The lockstep HeteroPrio loop; see the module docstring for the model."""
 
     def __init__(
         self,
         *,
         cpu: np.ndarray,
         gpu: np.ndarray,
-        priority: np.ndarray,
         platforms: Sequence[Platform],
-        kernel,
-        succ_indptr: np.ndarray | None = None,
-        succ_indices: np.ndarray | None = None,
-        indegree: np.ndarray | None = None,
-        anchor_stale: bool = False,
+        migrate: bool,
     ):
         B, n = cpu.shape
         self.B, self.n = B, n
-        self.cpu = np.ascontiguousarray(cpu, dtype=np.float64)
-        self.gpu = np.ascontiguousarray(gpu, dtype=np.float64)
-        self.prio = np.ascontiguousarray(priority, dtype=np.float64)
+        self.cpu = cpu
+        self.gpu = gpu
+        self.migrate = migrate
         self.platforms = tuple(platforms)
         self.worker_tuples = tuple(_service_workers(p) for p in self.platforms)
         W = max(len(ws) for ws in self.worker_tuples)
@@ -303,16 +265,13 @@ class _LockstepEngine:
             for s, w in enumerate(ws):
                 if w.kind is ResourceKind.GPU:
                     self.is_gpu[b, s] = True
-        self.anchor_stale = anchor_stale
 
-        self.static = succ_indptr is None
-        if not self.static:
-            self.succ_indptr = succ_indptr
-            self.succ_indices = succ_indices
-            self.indeg = np.ascontiguousarray(
-                np.broadcast_to(indegree, (B, n)), dtype=np.int64
-            )
-            self.indeg_flat = self.indeg.reshape(-1)
+        # The affinity queue of row b is order[b, front[b]:back[b] + 1]:
+        # the CPU end pops at front, the GPU end at back.  Every task has
+        # the default priority 0, so rho ties fall to the task index.
+        self.order = batch_queue_order(cpu, gpu, np.zeros_like(cpu))
+        self.front = np.zeros(B, dtype=np.int64)
+        self.back = np.full(B, n - 1, dtype=np.int64)
 
         # Worker slot state; an idle slot has w_end == +inf.
         self.w_task = np.full((B, W), -1, dtype=np.int64)
@@ -322,8 +281,6 @@ class _LockstepEngine:
         self.seq_counter = np.zeros(B, dtype=np.int64)  # heap tiebreak order
         self.remaining = np.full(B, n, dtype=np.int64)
         self.first_idle = np.full(B, np.nan)
-        #: per-row heaps of stale completion times (DAG anchor semantics)
-        self.phantoms: dict[int, list[float]] = {}
         self.stats = SimStats()
         self._cols = np.arange(W, dtype=np.int64)
         self.records = _Records(B * n + B)
@@ -333,14 +290,6 @@ class _LockstepEngine:
         }
         #: reusable (B, W) scratch for the per-pass idle snapshot
         self._snap = np.empty((B, W), dtype=bool)
-
-        self.kernel = kernel
-        kernel.bind(self)
-        if not self.static:
-            # Sources are announced at t=0 like the scalar loop's first
-            # announce — in (-priority, uid) order per row.
-            rr, tt = np.nonzero(self.indeg == 0)
-            self._announce(rr, tt, np.zeros(B))
 
     # -- primitive steps ---------------------------------------------------
 
@@ -359,62 +308,188 @@ class _LockstepEngine:
         self.w_seq[rows, slots] = self.seq_counter[rows]
         self.seq_counter[rows] += 1
 
-    def _announce(self, rows: np.ndarray, tasks: np.ndarray, t: np.ndarray) -> None:
-        """Hand newly ready tasks to the kernel in scalar announce order.
+    def _try_spoliate(
+        self,
+        rows: np.ndarray,
+        slots: np.ndarray,
+        gpu_side: np.ndarray,
+        t: np.ndarray,
+        progress: np.ndarray,
+    ) -> np.ndarray:
+        """Poll rows whose queue ran dry for a spoliation victim.
 
-        The scalar loop announces ``sorted(ready, key=(-priority,
-        uid))``; task uids ascend with task index in every batch layout,
-        so the index is the uid tiebreak.
+        Returns a boolean array over *rows* marking which polls
+        spoliated (the rest changed no state).
+
+        Victim choice mirrors the scalar loop exactly: among running
+        executions on the *other* resource class that the polling worker
+        would finish strictly earlier (``now + new_time < end -
+        TIME_EPS``), pick the latest completion, tie-broken by smallest
+        task index (all priorities are 0, so the scalar loop's priority
+        key never separates two victims).  The exact float ``==``
+        against the column max selects ties, not approximate equality,
+        which is why no epsilon belongs there.
         """
-        if rows.size == 0:
-            return
-        order = np.lexsort((tasks, -self.prio[rows, tasks], rows))
-        self.kernel.on_ready(rows[order], tasks[order], t)
+        sub_end = self.w_end[rows]  # (K, W)
+        running = self.exists[rows] & np.isfinite(sub_end)
+        other = running & (self.is_gpu[rows] != gpu_side[:, None])
+        if not other.any():
+            return np.zeros(rows.size, dtype=bool)
+        safe_task = np.where(other, self.w_task[rows], 0)
+        rows_col = rows[:, None]
+        new_time = np.where(
+            gpu_side[:, None],
+            self.gpu[rows_col, safe_task],
+            self.cpu[rows_col, safe_task],
+        )
+        improving = other & (t[rows][:, None] + new_time < sub_end - TIME_EPS)
+        found = improving.any(axis=1)
+        if not found.any():
+            return found
+        fr = np.flatnonzero(found)
+        imp = improving[fr]
+        stc = safe_task[fr]
+        k_end = np.where(imp, sub_end[fr], -np.inf)
+        # repro-lint: disable=float-equality -- selects the exact ties of
+        # the latest completion, as the scalar loop's sort key does.
+        latest = imp & (k_end == k_end.max(axis=1)[:, None])
+        vtask = np.where(latest, stc, self.n).min(axis=1)
+        vcol = (latest & (stc == vtask[:, None])).argmax(axis=1)
+
+        rr = rows[fr]
+        ss = slots[fr]
+        ar = np.arange(fr.size)
+        vend = sub_end[fr][ar, vcol]
+        vstart = self.w_start[rr, vcol]
+        ndur = new_time[fr][ar, vcol]
+        now = t[rr]
+
+        self.records.append(rr, vcol, vtask, vstart, now, True)
+        sp = self._sp_chunks
+        sp["rows"].append(rr)
+        sp["tasks"].append(vtask)
+        sp["vslots"].append(vcol)
+        sp["nslots"].append(ss)
+        sp["times"].append(now)
+        sp["olds"].append(vend)
+        sp["news"].append(now + ndur)
+
+        self.w_end[rr, vcol] = np.inf
+        self.w_task[rr, vcol] = -1
+        self.stats.aborts += rr.size
+        self._start(rr, ss, vtask, now, ndur)
+        progress[rr] = True
+        return found
 
     # -- settle ------------------------------------------------------------
+
+    def _serve_pass(
+        self, t: np.ndarray, snapshot: np.ndarray, progress: np.ndarray
+    ) -> None:
+        """Serve one pass over the snapshot, in service order.
+
+        Each *sub-iteration* serves at most one slot per row — rows at
+        different service positions advance together.
+
+        A failed empty-queue poll is stateless, and the queue cannot
+        refill mid-settle, so once a row's poll of one resource class
+        comes up empty every later poll of that class in the same pass
+        must fail too: those slots are bulk-skipped (the class is marked
+        *dead* for the rest of the pass), charging their ``pick()``
+        calls to the stats in one add.  This collapses the
+        empty-queue tail — per pass each row performs at most one
+        meaningful poll per class plus its queue pops.
+        """
+        cols = self._cols
+        is_gpu = self.is_gpu
+        ptr = np.zeros(self.B, dtype=np.int64)
+        dead_cpu = np.zeros(self.B, dtype=bool)
+        dead_gpu = np.zeros(self.B, dtype=bool)
+        any_dead = False
+        while True:
+            eligible = snapshot & (cols >= ptr[:, None])
+            if any_dead:
+                eligible &= ~(is_gpu & dead_gpu[:, None])
+                eligible &= is_gpu | ~dead_cpu[:, None]
+            serving = eligible.any(axis=1)
+            if not serving.any():
+                break
+            slot_of = eligible.argmax(axis=1)
+            rset = np.flatnonzero(serving)
+            svec = slot_of[rset]
+            self.stats.picks += rset.size
+            gpu_side = is_gpu[rset, svec]
+            has_queue = self.front[rset] <= self.back[rset]
+            if has_queue.any():
+                sel = np.flatnonzero(has_queue)
+                pr, ps, pg = rset[sel], svec[sel], gpu_side[sel]
+                # GPUs pop the back (most accelerated) end, CPUs the front.
+                posv = np.where(pg, self.back[pr], self.front[pr])
+                tasks = self.order[pr, posv]
+                self.back[pr[pg]] -= 1
+                self.front[pr[~pg]] += 1
+                durations = np.where(pg, self.gpu[pr, tasks], self.cpu[pr, tasks])
+                self._start(pr, ps, tasks, t[pr], durations)
+                progress[pr] = True
+            if not has_queue.all():
+                sel = np.flatnonzero(~has_queue)
+                er, es, eg = rset[sel], svec[sel], gpu_side[sel]
+                unset = np.isnan(self.first_idle[er])
+                if unset.any():
+                    self.first_idle[er[unset]] = t[er[unset]]
+                if self.migrate:
+                    spoliated = self._try_spoliate(er, es, eg, t, progress)
+                else:
+                    spoliated = np.zeros(er.size, dtype=bool)
+                failed = ~spoliated
+                if failed.any():
+                    fr, fs, fg = er[failed], es[failed], eg[failed]
+                    dead_gpu[fr[fg]] = True
+                    dead_cpu[fr[~fg]] = True
+                    any_dead = True
+                    # Charge the skipped same-class polls of this pass.
+                    same = is_gpu[fr] == fg[:, None]
+                    skipped = snapshot[fr] & (cols > fs[:, None]) & same
+                    self.stats.picks += int(skipped.sum())
+            ptr[rset] = svec + 1
 
     def _settle(self, t: np.ndarray, rows_mask: np.ndarray) -> None:
         """Serve idle workers until no row makes progress.
 
         Mirrors the scalar settle structure: each *pass* snapshots a
-        row's idle slots and hands them to the kernel, which serves
-        each exactly once in service order (GPUs first); slots freed
-        mid-pass (spoliation) wait for the next pass.  Rows that
-        started nothing drop out; the loop ends when no row progresses
-        — exactly the scalar ``while progress`` settle.
+        row's idle slots and serves each exactly once in service order
+        (GPUs first); slots freed mid-pass (spoliation) wait for the
+        next pass.  Rows that started nothing drop out; the loop ends
+        when no row progresses — exactly the scalar ``while progress``
+        settle.
         """
         active = rows_mask
         snapshot = self._snap
-        serve = self.kernel.serve_pass
         while active.any():
             np.isfinite(self.w_end, out=snapshot)
             np.logical_not(snapshot, out=snapshot)
             snapshot &= self.exists
             snapshot &= active[:, None]
             progress = np.zeros(self.B, dtype=bool)
-            serve(t, snapshot, progress)
+            self._serve_pass(t, snapshot, progress)
             active = progress
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
         started = _time.perf_counter()
-        B, n = self.B, self.n
+        B = self.B
         stats = self.stats
         t = np.zeros(B)
-        if n > 0:
-            self._settle(t, self.remaining > 0)
+        self._settle(t, self.remaining > 0)
         while True:
             act = self.remaining > 0
             if not act.any():
                 break
-            # Each row's window anchors at its earliest event — a live
-            # completion or (DAG mode) a phantom stale event.
+            # Each row's window anchors at its earliest live completion;
+            # a spoliated execution's old completion is gone from w_end,
+            # just as the scalar loop skips its stale event.
             t = self.w_end.min(axis=1)
-            if self.phantoms:
-                for b in list(self.phantoms):
-                    if act[b] and self.phantoms[b][0] < t[b]:
-                        t[b] = self.phantoms[b][0]
             stalled = act & ~np.isfinite(t)
             if stalled.any():
                 raise RuntimeError(
@@ -422,24 +497,8 @@ class _LockstepEngine:
                     "row(s) left tasks unfinished with no executions in flight"
                 )
             window = t + TIME_EPS
-            if self.phantoms:
-                for b in list(self.phantoms):
-                    if not act[b]:
-                        continue
-                    heap = self.phantoms[b]
-                    dropped = 0
-                    while heap and heap[0] <= window[b]:
-                        heapq.heappop(heap)
-                        dropped += 1
-                    if dropped:
-                        stats.events += dropped
-                        stats.stale_events += dropped
-                    if not heap:
-                        del self.phantoms[b]
             done = act[:, None] & (self.w_end <= window[:, None])
             rows, slots = np.nonzero(done)
-            if rows.size == 0:
-                continue  # a window anchored by phantoms alone
             ends = self.w_end[rows, slots]
             seqs = self.w_seq[rows, slots]
             # Per-row (end, seq) order — exactly the scalar heap-pop order.
@@ -461,35 +520,16 @@ class _LockstepEngine:
             self.w_end[rows, slots] = np.inf
             self.w_task[rows, slots] = -1
             self.remaining[urows] -= counts
-            if not self.static:
-                s0 = self.succ_indptr[tasks]
-                cnt = self.succ_indptr[tasks + 1] - s0
-                if cnt.sum():
-                    succ_t = self.succ_indices[_ragged_gather(s0, cnt)]
-                    succ_r = np.repeat(rows, cnt)
-                    flat = succ_r * n + succ_t
-                    np.subtract.at(self.indeg_flat, flat, 1)
-                    # A successor reaching indegree 0 matches for every
-                    # one of its just-resolved edges, so dedupe only the
-                    # (small) ready candidate set, not all of `flat`.
-                    ready = np.unique(flat[self.indeg_flat[flat] == 0])
-                    if ready.size:
-                        ready_r = ready // n
-                        ready_t = ready - ready_r * n
-                        self._announce(ready_r, ready_t, t)
             settle_rows = np.zeros(B, dtype=bool)
             settle_rows[urows] = True
             settle_rows &= self.remaining > 0
             if settle_rows.any():
                 self._settle(t, settle_rows)
-        stats.events = int(stats.events)
-        stats.tasks = int(stats.tasks)
-        stats.picks = int(stats.picks)
         stats.wall_s = _time.perf_counter() - started
 
     # -- result ------------------------------------------------------------
 
-    def finalize(self, default_tasks: tuple[Task, ...] | None) -> BatchResult:
+    def finalize(self) -> BatchResult:
         B, W = self.B, self.W
         rec = self.records
         size = rec.size
@@ -523,7 +563,6 @@ class _LockstepEngine:
             stats=self.stats,
             records=rec,
             sp_chunks=self._sp_chunks,
-            default_tasks=default_tasks,
         )
 
 
@@ -543,7 +582,6 @@ def batch_heteroprio_schedule(
     gpu_times: np.ndarray,
     platforms: Platform | Sequence[Platform],
     *,
-    priorities: np.ndarray | None = None,
     spoliation: bool = True,
     migration: str = "spoliation",
 ) -> BatchResult:
@@ -551,9 +589,12 @@ def batch_heteroprio_schedule(
 
     Bit-identical to per-row
     :func:`repro.core.heteroprio.heteroprio_schedule`
-    (``compute_ns=False``) with the same migration mode.  The
-    ``"preemption"`` migration mode keeps partial progress per victim
-    and is inherently sequential — callers fall back to the scalar loop.
+    (``compute_ns=False``) with the same migration mode, on tasks of the
+    default priority 0.  The ``"preemption"`` migration mode keeps
+    partial progress per victim and is inherently sequential — callers
+    fall back to the scalar loop.  Rows are distinct instances with
+    distinct Task objects: pass a row's own task list to
+    :meth:`BatchResult.schedule` and :meth:`BatchResult.spoliations`.
     """
     cpu = np.ascontiguousarray(cpu_times, dtype=np.float64)
     gpu = np.ascontiguousarray(gpu_times, dtype=np.float64)
@@ -564,67 +605,24 @@ def batch_heteroprio_schedule(
         raise NotImplementedError(
             "preemption migration is sequential per instance; use the scalar loop"
         )
-    B, _ = cpu.shape
-    prio = (
-        np.zeros_like(cpu)
-        if priorities is None
-        else np.ascontiguousarray(np.broadcast_to(priorities, cpu.shape))
-    )
     engine = _LockstepEngine(
         cpu=cpu,
         gpu=gpu,
-        priority=prio,
-        platforms=_as_platforms(platforms, B),
-        kernel=HeteroPrioKernel(
-            migrate=mode == "spoliation", victim_rule="completion"
-        ),
-        anchor_stale=False,
+        platforms=_as_platforms(platforms, cpu.shape[0]),
+        migrate=mode == "spoliation",
     )
     engine.run()
-    # Rows are distinct instances with distinct Task objects; callers
-    # pass their own task list to BatchResult.schedule(i, tasks=...).
-    return engine.finalize(None)
+    return engine.finalize()
 
 
-def batch_simulate_dag(
-    graph: CompiledGraph,
-    platforms: Platform | Sequence[Platform],
-    priorities: np.ndarray,
-    *,
-    cpu_times: np.ndarray | None = None,
-    gpu_times: np.ndarray | None = None,
-    spoliation: bool = True,
-    victim_rule: str = "priority",
-) -> BatchResult:
-    """Run online HeteroPrio on a batch sharing one graph structure.
+def batch_simulate_dag(*args: object, **kwargs: object) -> NoReturn:
+    """Removed: DAG-mode HeteroPrio runs on the scalar simulator.
 
-    ``priorities`` is ``(B, n)`` (one priority vector per row — e.g. one
-    ranking scheme per row); ``cpu_times``/``gpu_times`` default to the
-    graph's own durations broadcast across the batch, or may be
-    ``(B, n)`` per-row samples (noise sweeps over one structure).
-    Bit-identical to :func:`repro.simulator.simulate` with a
-    :class:`~repro.schedulers.online.heteroprio.HeteroPrioPolicy` of the
-    same ``spoliation``/``victim_rule`` per row.
+    Use :func:`repro.simulator.simulate` with a
+    :class:`~repro.schedulers.online.heteroprio.HeteroPrioPolicy`.  The
+    name stays only because perfbench's tracer resolves it when it
+    installs; the change that retargets the tracer deletes it.
     """
-    prio = np.atleast_2d(np.asarray(priorities, dtype=np.float64))
-    B, n = prio.shape
-    if n != len(graph):
-        raise ValueError("priorities second axis must match graph size")
-    cpu = graph.cpu_times if cpu_times is None else np.asarray(cpu_times)
-    gpu = graph.gpu_times if gpu_times is None else np.asarray(gpu_times)
-    cpu = np.ascontiguousarray(np.broadcast_to(cpu, (B, n)), dtype=np.float64)
-    gpu = np.ascontiguousarray(np.broadcast_to(gpu, (B, n)), dtype=np.float64)
-    engine = _LockstepEngine(
-        cpu=cpu,
-        gpu=gpu,
-        priority=prio,
-        platforms=_as_platforms(platforms, B),
-        kernel=HeteroPrioKernel(migrate=spoliation, victim_rule=victim_rule),
-        succ_indptr=graph.succ_indptr,
-        succ_indices=graph.succ_indices,
-        indegree=np.diff(graph.pred_indptr),
-        anchor_stale=True,
+    raise NotImplementedError(
+        "the lockstep DAG path was removed; use repro.simulator.simulate"
     )
-    engine.run()
-    default = graph.tasks if cpu_times is None and gpu_times is None else None
-    return engine.finalize(default)

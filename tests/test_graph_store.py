@@ -10,6 +10,8 @@ processes from it without changing any metric.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,35 @@ def _isolate_store():
     """Never leak a test store (or memoized graphs) into other tests."""
     yield
     executor_mod.set_graph_store(None)
+
+
+def flag_central_directory(path: Path, *, flags: int = 0, method: int | None = None) -> None:
+    """OR *flags* into, and optionally set *method* on, every
+    central-directory header of the zip archive at *path*."""
+    data = bytearray(path.read_bytes())
+    eocd = data.rfind(b"PK\x05\x06")
+    count = int.from_bytes(data[eocd + 10 : eocd + 12], "little")
+    pos = int.from_bytes(data[eocd + 16 : eocd + 20], "little")
+    for _ in range(count):
+        assert data[pos : pos + 4] == b"PK\x01\x02"
+        old = int.from_bytes(data[pos + 8 : pos + 10], "little")
+        data[pos + 8 : pos + 10] = (old | flags).to_bytes(2, "little")
+        if method is not None:
+            data[pos + 10 : pos + 12] = method.to_bytes(2, "little")
+        name_len, extra_len, comment_len = (
+            int.from_bytes(data[pos + at : pos + at + 2], "little") for at in (28, 30, 32)
+        )
+        pos += 46 + name_len + extra_len + comment_len
+    path.write_bytes(data)
+
+
+#: Header damage that ``zipfile`` reports with RuntimeError or
+#: NotImplementedError rather than BadZipFile.
+HEADER_DAMAGE = pytest.mark.parametrize(
+    "damage",
+    [{"flags": 0x01}, {"flags": 0x40}, {"method": 99}],
+    ids=["encrypted", "strong-encryption", "compression-99"],
+)
 
 
 def graphs_equal(a: CompiledGraph, b: CompiledGraph) -> bool:
@@ -88,6 +119,24 @@ class TestGraphStore:
         assert store.get("cholesky", 3) is None
         path.write_bytes(b"")
         assert store.get("cholesky", 3) is None
+
+    @HEADER_DAMAGE
+    def test_damaged_zip_headers_are_misses(self, tmp_path, damage):
+        store = GraphStore(tmp_path)
+        path = store.put(cholesky_compiled(3), "cholesky", 3)
+        flag_central_directory(path, **damage)
+        assert store.get("cholesky", 3) is None
+        store.put(cholesky_compiled(3), "cholesky", 3)  # the caller's rebuild
+        assert store.get("cholesky", 3) is not None
+
+    @HEADER_DAMAGE
+    def test_gc_removes_damaged_zip_headers(self, tmp_path, damage):
+        store = GraphStore(tmp_path)
+        kept = store.put(cholesky_compiled(4), "cholesky", 4)
+        damaged = store.put(cholesky_compiled(3), "cholesky", 3)
+        flag_central_directory(damaged, **damage)
+        assert store.gc() == 1
+        assert kept.exists() and not damaged.exists()
 
     def test_wrong_key_under_same_path_is_a_miss(self, tmp_path):
         # Simulate a hash collision: an entry whose embedded metadata
@@ -152,6 +201,27 @@ class TestExecutorWiring:
         for a, b in zip(reference.records, again.records):
             assert canon(a.metrics) == canon(b.metrics)
         assert again.stats.hits == 0  # fresh result cache: graphs, not metrics
+
+    @HEADER_DAMAGE
+    def test_campaign_rebuilds_over_damaged_zip_headers(self, tmp_path, damage):
+        specs = self.specs()
+        cache = ResultCache(tmp_path / "cache")
+        reference = run_campaign(specs, cache=cache)
+        store = GraphStore(cache.root / "graphs", salt=cache.salt)
+        entries = list(store.iter_paths())
+        assert len(entries) == 2  # cholesky 4 and qr 4
+        for path in entries:
+            flag_central_directory(path, **damage)
+        for path in cache.iter_paths():
+            path.unlink()  # no result hits: every spec needs its graph
+        executor_mod.set_graph_store(None)  # a fresh process: cold memo
+        again = run_campaign(specs, cache=ResultCache(tmp_path / "cache"))
+        assert again.stats.executed == len(specs)
+        for a, b in zip(reference.records, again.records):
+            assert canon(a.metrics) == canon(b.metrics)
+        # The rebuilt graphs were published over the damaged entries.
+        assert store.get("cholesky", 4) is not None
+        assert store.get("qr", 4) is not None
 
     def test_set_graph_store_clears_memo(self, tmp_path):
         executor_mod.set_graph_store(GraphStore(tmp_path / "a"))

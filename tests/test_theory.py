@@ -2,11 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bounds.area import area_bound
 from repro.core.heteroprio import heteroprio_schedule
 from repro.core.platform import Platform
+from repro.core.task import Instance
+from repro.schedulers.exact import optimal_makespan
+from repro.simulator.batch import batch_heteroprio_schedule
 from repro.theory.constants import (
     PHI,
     RATIO_1CPU_1GPU,
@@ -16,6 +22,7 @@ from repro.theory.constants import (
     approximation_ratio,
 )
 from repro.theory.verification import (
+    RTOL,
     check_approximation_bound,
     check_first_idle_bound,
     check_lemma3_corollaries,
@@ -35,7 +42,7 @@ from repro.theory.worst_cases import (
     theorem14_r,
 )
 
-from conftest import instances, platforms
+from conftest import instances, platforms, tasks
 
 
 class TestConstants:
@@ -297,3 +304,48 @@ class TestVerificationHelpers:
         )
         assert "ratio=1.618" in str(report)
         assert report.holds
+
+
+@st.composite
+def lockstep_batches(draw, platform_strategy, max_tasks, max_rows=4):
+    """``(rows, platforms)``: up to *max_rows* instances of one task count."""
+    n = draw(st.integers(min_value=1, max_value=max_tasks))
+    n_rows = draw(st.integers(min_value=1, max_value=max_rows))
+    rows = [[draw(tasks()) for _ in range(n)] for _ in range(n_rows)]
+    return rows, [draw(platform_strategy) for _ in rows]
+
+
+def _run_lockstep(rows, row_platforms):
+    cpu = np.array([[t.cpu_time for t in row] for row in rows])
+    gpu = np.array([[t.gpu_time for t in row] for row in rows])
+    return batch_heteroprio_schedule(cpu, gpu, row_platforms)
+
+
+class TestLockstepRows:
+    """The theorem checks above, on rows of the lockstep engine."""
+
+    @given(batch=lockstep_batches(platforms(), max_tasks=10))
+    @settings(max_examples=50, deadline=None)
+    def test_first_idle_within_area_bound(self, batch):
+        rows, row_platforms = batch
+        result = _run_lockstep(rows, row_platforms)
+        for b, (row, platform) in enumerate(zip(rows, row_platforms)):
+            bound = area_bound(Instance(row), platform).value
+            assert result.t_first_idle[b] <= bound * (1.0 + RTOL) + 1e-12
+
+    # Rows mix Theorem 7 (1 CPU, 1 GPU), Theorem 9 (m CPUs, 1 GPU) and
+    # Theorem 12 (general) platforms in one batch.
+    @given(batch=lockstep_batches(
+        st.sampled_from([Platform(1, 1), Platform(3, 1), Platform(1, 3),
+                         Platform(2, 1), Platform(2, 2)]),
+        max_tasks=8, max_rows=3,
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_within_proved_ratio_of_optimum(self, batch):
+        rows, row_platforms = batch
+        result = _run_lockstep(rows, row_platforms)
+        for b, (row, platform) in enumerate(zip(rows, row_platforms)):
+            makespan = float(result.makespans[b])
+            optimal = optimal_makespan(Instance(row), platform, upper_bound=makespan)
+            bound = approximation_ratio(platform)
+            assert makespan <= bound * optimal * (1.0 + RTOL), (platform, makespan, optimal)
