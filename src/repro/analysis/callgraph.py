@@ -138,13 +138,6 @@ class ProgramModel:
         scope = fid.split("::", 1)[1] if "::" in fid else MODULE_SCOPE
         return module.calls.get(scope, ())
 
-    def external_calls_of(self, fid: str) -> Tuple[ExternalCall, ...]:
-        module = self.modules.get(self.module_of(fid))
-        if module is None:
-            return ()
-        scope = fid.split("::", 1)[1] if "::" in fid else MODULE_SCOPE
-        return module.external_calls.get(scope, ())
-
 
 # -- module discovery and parsing (memoised) ----------------------------------
 

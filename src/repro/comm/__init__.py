@@ -12,10 +12,11 @@ optional substrate that models the missing piece the way StarPU does:
 * :mod:`repro.comm.memory` — an MSI-style data directory tracking where
   valid copies of every data handle live (main RAM shared by the CPUs,
   one private memory per GPU);
-* :mod:`repro.comm.runtime` — a communication-aware discrete-event
-  runtime: before a task executes, missing input copies are fetched
-  (serialised with the execution — no prefetch), writes invalidate
-  remote copies, and all transfers are traced;
+* :mod:`repro.comm.runtime` — communication-aware runs of the one
+  discrete-event runtime, through its data-movement hook: before a task
+  executes, missing input copies are fetched (serialised with the
+  execution — no prefetch), writes invalidate remote copies, and all
+  transfers are traced;
 * :mod:`repro.comm.heft` — the data-aware HEFT variant that adds
   estimated transfer times to its earliest-finish-time rule (the
   classic HEFT formulation, and StarPU's ``dmdas``).
@@ -27,7 +28,7 @@ ranking is to communication costs.
 
 from repro.comm.model import CommunicationModel, Location, RAM
 from repro.comm.memory import DataDirectory
-from repro.comm.runtime import CommAwareSimulator, TransferEvent, simulate_with_comm
+from repro.comm.runtime import TransferEvent, simulate_with_comm
 from repro.comm.heft import CommAwareHeftPolicy
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "Location",
     "RAM",
     "DataDirectory",
-    "CommAwareSimulator",
     "TransferEvent",
     "simulate_with_comm",
     "CommAwareHeftPolicy",

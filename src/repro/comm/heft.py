@@ -36,7 +36,7 @@ class CommAwareHeftPolicy(HeftPolicy):
         model: CommunicationModel,
         graph: TaskGraph,
     ) -> None:
-        """Called by the comm-aware simulator before the run starts."""
+        """Called by :func:`~repro.comm.runtime.simulate_with_comm` before the run starts."""
         self._directory = directory
         self._model = model
         self._graph = graph

@@ -1,36 +1,37 @@
-"""Communication-aware discrete-event DAG runtime.
+"""Communication-aware runs of the discrete-event DAG runtime.
 
-Identical event structure to :class:`repro.simulator.runtime.RuntimeSimulator`
-with one additional phase: when a task is dispatched to a worker, every
+:func:`simulate_with_comm` runs :class:`repro.simulator.runtime.RuntimeSimulator`
+with a data-movement hook: when a task is dispatched to a worker, every
 input handle without a valid copy in the worker's memory space is fetched
 first (transfers serialise with the execution — no prefetching, the
-conservative StarPU default).  Written handles invalidate remote copies
-at completion.  All data movements are traced as
+conservative StarPU default), and the handles a task writes invalidate
+remote copies at its completion.  All data movements are traced as
 :class:`TransferEvent` records.
 
-Placements in the resulting schedule cover the *compute* interval only
-(the worker is additionally busy during the preceding transfers), and
-the schedule is marked non-strict: an aborted interval may include
+Completed placements cover the *compute* interval only (the worker is
+additionally busy during the preceding transfers), and the schedule is
+non-strict: an aborted interval starts at dispatch and may include
 transfer time, and spoliation improvement is defined against
-transfer-inclusive completion estimates.
+transfer-inclusive completion estimates.  With ``scale=0`` every
+transfer costs nothing, each kernel starts at its dispatch, and the run
+is the communication-free one.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.comm.memory import DataDirectory
 from repro.comm.model import CommunicationModel, Location, location_of
-from repro.core.platform import Platform, ResourceKind, Worker
-from repro.core.schedule import Schedule, TIME_EPS
+from repro.core.platform import Platform, Worker
+from repro.core.schedule import Schedule
 from repro.core.task import Task
 from repro.dag.graph import TaskGraph
-from repro.schedulers.online.base import OnlinePolicy, RunningView, Spoliate, StartTask
+from repro.schedulers.online.base import OnlinePolicy
+from repro.simulator.runtime import RuntimeSimulator
 
-__all__ = ["TransferEvent", "CommRunResult", "CommAwareSimulator", "simulate_with_comm"]
+__all__ = ["TransferEvent", "CommRunResult", "simulate_with_comm"]
 
 
 @dataclass(frozen=True)
@@ -67,189 +68,52 @@ class CommRunResult:
         return sum(t.end - t.start for t in self.transfers)
 
 
-@dataclass
-class _Execution:
-    task: Task
-    worker: Worker
-    dispatch: float       # when the worker was committed (transfers start)
-    compute_start: float  # when the kernel itself starts
-    end: float
-    generation: int
+class _Transfers:
+    """The data-movement hook of one communication-aware run."""
 
-
-class CommAwareSimulator:
-    """Execute a task graph with data-locality-induced transfer delays."""
-
-    def __init__(
-        self,
-        graph: TaskGraph,
-        platform: Platform,
-        policy: OnlinePolicy,
-        *,
-        model: CommunicationModel | None = None,
-    ):
+    def __init__(self, graph: TaskGraph, model: CommunicationModel):
         self.graph = graph
-        self.platform = platform
-        self.policy = policy
-        self.model = model if model is not None else CommunicationModel()
+        self.model = model
+        self.directory = DataDirectory()
+        self.transfers: list[TransferEvent] = []
 
-    def run(self) -> CommRunResult:
-        graph, platform, policy, model = self.graph, self.platform, self.policy, self.model
-        schedule = Schedule(platform, strict=False)
-        transfers: list[TransferEvent] = []
-        directory = DataDirectory()
-        if len(graph) == 0:
-            return CommRunResult(schedule=schedule)
-
-        policy.prepare(platform)
-        attach = getattr(policy, "attach_comm", None)
-        if attach is not None:
-            attach(directory, model, graph)
-
-        indegree = {task: graph.in_degree(task) for task in graph}
-        remaining = len(graph)
-        running: dict[Worker, _Execution] = {}
-        idle: set[Worker] = set(platform.workers())
-        generations: dict[Worker, int] = {w: 0 for w in platform.workers()}
-        events: list[tuple[float, int, Worker, int]] = []
-        seq = itertools.count()
-
-        def service_key(worker: Worker) -> tuple[int, int]:
-            return (0 if worker.kind is ResourceKind.GPU else 1, worker.index)
-
-        def announce(tasks: list[Task], now: float) -> None:
-            tasks.sort(key=lambda t: (-t.priority, t.uid))
-            policy.tasks_ready(tasks, now)
-
-        def running_view() -> dict[Worker, RunningView]:
-            return {
-                w: RunningView(task=e.task, worker=w, start=e.dispatch, end=e.end)
-                for w, e in running.items()
-            }
-
-        def start(task: Task, worker: Worker, now: float) -> None:
-            destination = location_of(worker)
-            clock = now
-            for access in graph.accesses.get(task, ()):
-                if not access.mode.reads:
-                    continue
-                if directory.has_copy(access.handle, destination):
-                    continue
-                size = graph.handle_bytes.get(access.handle, 0)
-                src, cost = directory.cheapest_source(
-                    access.handle, destination, size, model
-                )
-                if cost > 0.0:
-                    transfers.append(
-                        TransferEvent(
-                            handle=access.handle,
-                            source=src,
-                            destination=destination,
-                            size_bytes=size,
-                            start=clock,
-                            end=clock + cost,
-                            task=task,
-                            worker=worker,
-                        )
-                    )
-                    clock += cost
-                directory.add_copy(access.handle, destination)
-            compute_start = clock
-            end = compute_start + task.time_on(worker.kind)
-            generations[worker] += 1
-            running[worker] = _Execution(
-                task=task,
-                worker=worker,
-                dispatch=now,
-                compute_start=compute_start,
-                end=end,
-                generation=generations[worker],
-            )
-            idle.discard(worker)
-            heapq.heappush(events, (end, next(seq), worker, generations[worker]))
-            policy.task_started(task, worker, now)
-
-        def finish(execution: _Execution) -> list[Task]:
-            schedule.add(
-                execution.task,
-                execution.worker,
-                execution.compute_start,
-                end=execution.end,
-            )
-            destination = location_of(execution.worker)
-            for access in graph.accesses.get(execution.task, ()):
-                if access.mode.writes:
-                    directory.write(access.handle, destination)
-            policy.task_finished(execution.task, execution.worker, execution.end)
-            newly_ready = []
-            for succ in graph.successors(execution.task):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    newly_ready.append(succ)
-            return newly_ready
-
-        def settle(now: float) -> None:
-            progress = True
-            while progress:
-                progress = False
-                for worker in sorted(idle, key=service_key):
-                    if worker not in idle:
-                        continue
-                    action = policy.pick(worker, now, running_view())
-                    if action is None:
-                        continue
-                    if isinstance(action, StartTask):
-                        start(action.task, worker, now)
-                        progress = True
-                    elif isinstance(action, Spoliate):
-                        victim = running.get(action.victim)
-                        if victim is None or victim.worker.kind is worker.kind:
-                            raise RuntimeError(
-                                f"policy {policy.name} issued an invalid spoliation"
-                            )
-                        schedule.add(
-                            victim.task,
-                            victim.worker,
-                            victim.dispatch,
-                            end=now,
-                            aborted=True,
-                        )
-                        del running[victim.worker]
-                        generations[victim.worker] += 1
-                        idle.add(victim.worker)
-                        policy.task_aborted(victim.task, victim.worker, now)
-                        start(victim.task, worker, now)
-                        progress = True
-                    else:  # pragma: no cover - exhaustive Action union
-                        raise TypeError(f"unknown action {action!r}")
-
-        announce(graph.sources(), 0.0)
-        settle(0.0)
-        while remaining > 0:
-            if not events:
-                raise RuntimeError(
-                    f"policy {policy.name} stalled with {remaining} tasks unfinished"
-                )
-            time, _, worker, gen = heapq.heappop(events)
-            finished: list[_Execution] = []
-            if generations[worker] == gen:
-                finished.append(running.pop(worker))
-            while events and events[0][0] <= time + TIME_EPS:
-                _, _, worker2, gen2 = heapq.heappop(events)
-                if generations[worker2] == gen2:
-                    finished.append(running.pop(worker2))
-            if not finished:
+    def fetch(self, task: Task, worker: Worker, now: float) -> float:
+        """Fetch every input without a valid copy at *worker*, one after another."""
+        graph, directory = self.graph, self.directory
+        destination = location_of(worker)
+        clock = now
+        for access in graph.accesses.get(task, ()):
+            if not access.mode.reads:
                 continue
-            newly_ready: list[Task] = []
-            for execution in finished:
-                remaining -= 1
-                idle.add(execution.worker)
-                newly_ready.extend(finish(execution))
-            if newly_ready:
-                announce(newly_ready, time)
-            if remaining > 0:
-                settle(time)
-        return CommRunResult(schedule=schedule, transfers=transfers)
+            if directory.has_copy(access.handle, destination):
+                continue
+            size = graph.handle_bytes.get(access.handle, 0)
+            src, cost = directory.cheapest_source(
+                access.handle, destination, size, self.model
+            )
+            if cost > 0.0:
+                self.transfers.append(
+                    TransferEvent(
+                        handle=access.handle,
+                        source=src,
+                        destination=destination,
+                        size_bytes=size,
+                        start=clock,
+                        end=clock + cost,
+                        task=task,
+                        worker=worker,
+                    )
+                )
+                clock += cost
+            directory.add_copy(access.handle, destination)
+        return clock
+
+    def complete(self, task: Task, worker: Worker) -> None:
+        """Make *worker*'s memory space the only valid copy of every written handle."""
+        destination = location_of(worker)
+        for access in self.graph.accesses.get(task, ()):
+            if access.mode.writes:
+                self.directory.write(access.handle, destination)
 
 
 def simulate_with_comm(
@@ -259,5 +123,15 @@ def simulate_with_comm(
     *,
     model: CommunicationModel | None = None,
 ) -> CommRunResult:
-    """Convenience wrapper around :class:`CommAwareSimulator`."""
-    return CommAwareSimulator(graph, platform, policy, model=model).run()
+    """Run *policy* on *graph* with transfer delays under *model*.
+
+    A data-aware policy (one with ``attach_comm``) is handed the run's
+    data directory before it sees its first ready task.
+    """
+    model = model if model is not None else CommunicationModel()
+    movement = _Transfers(graph, model)
+    attach = getattr(policy, "attach_comm", None)
+    if attach is not None:
+        attach(movement.directory, model, graph)
+    schedule = RuntimeSimulator(graph, platform, policy, movement=movement).run()
+    return CommRunResult(schedule=schedule, transfers=movement.transfers)

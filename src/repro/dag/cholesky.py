@@ -14,7 +14,7 @@ mirroring Chameleon's submission to StarPU.  Task counts: ``N`` POTRF,
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Callable, Hashable
 
 from repro.core.task import Task
 from repro.dag.compiled import CompiledGraph, GraphProgram, ProgramBuilder, compile_program
@@ -27,6 +27,8 @@ __all__ = [
     "cholesky_program",
     "cholesky_compiled",
     "cholesky_task_count",
+    "sampling_submit",
+    "Submit",
     "TILE_BYTES",
 ]
 
@@ -38,6 +40,45 @@ def cholesky_task_count(n_tiles: int) -> int:
     """Number of kernels in a tiled Cholesky with ``n_tiles`` tiles."""
     n = n_tiles
     return n + n * (n - 1) + n * (n - 1) * (n - 2) // 6
+
+
+#: ``submit(kind, label, accesses)``: hand one kernel, in program order,
+#: to a graph builder (:meth:`ProgramBuilder.submit` or
+#: :func:`sampling_submit`).
+Submit = Callable[[str, str, list[tuple[Hashable, AccessMode]]], object]
+
+
+def sampling_submit(tracker: DataflowTracker, timing: TimingModel) -> Submit:
+    """A ``submit`` callback for the dict graphs.
+
+    Each kernel's durations are sampled from *timing* in submission
+    order, and the kernel goes to *tracker*, which infers its edges on
+    its own (independently of the compiled path's
+    :func:`~repro.dag.compiled.infer_edges`).
+    """
+
+    def submit(kind: str, label: str, accesses: list[tuple[Hashable, AccessMode]]) -> None:
+        p, q = timing.sample(kind)
+        tracker.submit(Task(cpu_time=p, gpu_time=q, name=label, kind=kind), accesses)
+
+    return submit
+
+
+def _submit_cholesky(n_tiles: int, submit: Submit) -> None:
+    """Submit every Cholesky kernel with its accesses, in program order."""
+    read, write = AccessMode.READ, AccessMode.READ_WRITE
+    for k in range(n_tiles):
+        submit("POTRF", f"POTRF({k})", [((k, k), write)])
+        for i in range(k + 1, n_tiles):
+            submit("TRSM", f"TRSM({i},{k})", [((k, k), read), ((i, k), write)])
+        for i in range(k + 1, n_tiles):
+            submit("SYRK", f"SYRK({i},{k})", [((i, k), read), ((i, i), write)])
+            for j in range(k + 1, i):
+                submit(
+                    "GEMM",
+                    f"GEMM({i},{j},{k})",
+                    [((i, k), read), ((j, k), read), ((i, j), write)],
+                )
 
 
 def cholesky_graph(
@@ -58,33 +99,10 @@ def cholesky_graph(
         raise ValueError("n_tiles must be >= 1")
     if timing is None:
         timing = TimingModel.for_factorization("cholesky")
-
     tracker = DataflowTracker(
         name=f"cholesky-{n_tiles}", default_handle_bytes=TILE_BYTES
     )
-    read, write = AccessMode.READ, AccessMode.READ_WRITE
-
-    def kernel(kind: str, label: str) -> Task:
-        p, q = timing.sample(kind)
-        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
-
-    for k in range(n_tiles):
-        tracker.submit(kernel("POTRF", f"POTRF({k})"), [((k, k), write)])
-        for i in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("TRSM", f"TRSM({i},{k})"),
-                [((k, k), read), ((i, k), write)],
-            )
-        for i in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("SYRK", f"SYRK({i},{k})"),
-                [((i, k), read), ((i, i), write)],
-            )
-            for j in range(k + 1, i):
-                tracker.submit(
-                    kernel("GEMM", f"GEMM({i},{j},{k})"),
-                    [((i, k), read), ((j, k), read), ((i, j), write)],
-                )
+    _submit_cholesky(n_tiles, sampling_submit(tracker, timing))
     graph = tracker.graph
     assert len(graph) == cholesky_task_count(n_tiles)
     return graph
@@ -93,30 +111,14 @@ def cholesky_graph(
 def cholesky_program(n_tiles: int) -> GraphProgram:
     """The Cholesky submission trace for the compiled pipeline.
 
-    Same kernels, same accesses, same program order as
-    :func:`cholesky_graph` — only recorded instead of replayed through
-    the tracker.  Differential tests pin the two against each other.
+    The same submission loop as :func:`cholesky_graph`, handed to a
+    :class:`ProgramBuilder` that records each kernel instead of sampling
+    it and inferring its edges.
     """
     if n_tiles < 1:
         raise ValueError("n_tiles must be >= 1")
     builder = ProgramBuilder(f"cholesky-{n_tiles}")
-    read, write = AccessMode.READ, AccessMode.READ_WRITE
-    for k in range(n_tiles):
-        builder.submit("POTRF", f"POTRF({k})", [((k, k), write)])
-        for i in range(k + 1, n_tiles):
-            builder.submit(
-                "TRSM", f"TRSM({i},{k})", [((k, k), read), ((i, k), write)]
-            )
-        for i in range(k + 1, n_tiles):
-            builder.submit(
-                "SYRK", f"SYRK({i},{k})", [((i, k), read), ((i, i), write)]
-            )
-            for j in range(k + 1, i):
-                builder.submit(
-                    "GEMM",
-                    f"GEMM({i},{j},{k})",
-                    [((i, k), read), ((j, k), read), ((i, j), write)],
-                )
+    _submit_cholesky(n_tiles, builder.submit)
     return builder.finish()
 
 

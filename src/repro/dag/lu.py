@@ -13,8 +13,7 @@ Both TRSM flavours share the ``TRSM`` kernel timing.  Task counts:
 
 from __future__ import annotations
 
-from repro.core.task import Task
-from repro.dag.cholesky import TILE_BYTES
+from repro.dag.cholesky import TILE_BYTES, Submit, sampling_submit
 from repro.dag.compiled import CompiledGraph, GraphProgram, ProgramBuilder, compile_program
 from repro.dag.dataflow import AccessMode, DataflowTracker
 from repro.dag.graph import TaskGraph
@@ -30,6 +29,23 @@ def lu_task_count(n_tiles: int) -> int:
     return n + n * (n - 1) + gemm
 
 
+def _submit_lu(n_tiles: int, submit: Submit) -> None:
+    """Submit every LU kernel with its accesses, in program order."""
+    read, rw = AccessMode.READ, AccessMode.READ_WRITE
+    for k in range(n_tiles):
+        submit("GETRF", f"GETRF({k})", [((k, k), rw)])
+        for j in range(k + 1, n_tiles):
+            submit("TRSM", f"TRSM_row({k},{j})", [((k, k), read), ((k, j), rw)])
+        for i in range(k + 1, n_tiles):
+            submit("TRSM", f"TRSM_col({i},{k})", [((k, k), read), ((i, k), rw)])
+            for j in range(k + 1, n_tiles):
+                submit(
+                    "GEMM",
+                    f"GEMM({i},{j},{k})",
+                    [((i, k), read), ((k, j), read), ((i, j), rw)],
+                )
+
+
 def lu_graph(
     n_tiles: int,
     timing: TimingModel | None = None,
@@ -39,33 +55,10 @@ def lu_graph(
         raise ValueError("n_tiles must be >= 1")
     if timing is None:
         timing = TimingModel.for_factorization("lu")
-
     tracker = DataflowTracker(
         name=f"lu-{n_tiles}", default_handle_bytes=TILE_BYTES
     )
-    read, rw = AccessMode.READ, AccessMode.READ_WRITE
-
-    def kernel(kind: str, label: str) -> Task:
-        p, q = timing.sample(kind)
-        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
-
-    for k in range(n_tiles):
-        tracker.submit(kernel("GETRF", f"GETRF({k})"), [((k, k), rw)])
-        for j in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("TRSM", f"TRSM_row({k},{j})"),
-                [((k, k), read), ((k, j), rw)],
-            )
-        for i in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("TRSM", f"TRSM_col({i},{k})"),
-                [((k, k), read), ((i, k), rw)],
-            )
-            for j in range(k + 1, n_tiles):
-                tracker.submit(
-                    kernel("GEMM", f"GEMM({i},{j},{k})"),
-                    [((i, k), read), ((k, j), read), ((i, j), rw)],
-                )
+    _submit_lu(n_tiles, sampling_submit(tracker, timing))
     graph = tracker.graph
     assert len(graph) == lu_task_count(n_tiles)
     return graph
@@ -76,23 +69,7 @@ def lu_program(n_tiles: int) -> GraphProgram:
     if n_tiles < 1:
         raise ValueError("n_tiles must be >= 1")
     builder = ProgramBuilder(f"lu-{n_tiles}")
-    read, rw = AccessMode.READ, AccessMode.READ_WRITE
-    for k in range(n_tiles):
-        builder.submit("GETRF", f"GETRF({k})", [((k, k), rw)])
-        for j in range(k + 1, n_tiles):
-            builder.submit(
-                "TRSM", f"TRSM_row({k},{j})", [((k, k), read), ((k, j), rw)]
-            )
-        for i in range(k + 1, n_tiles):
-            builder.submit(
-                "TRSM", f"TRSM_col({i},{k})", [((k, k), read), ((i, k), rw)]
-            )
-            for j in range(k + 1, n_tiles):
-                builder.submit(
-                    "GEMM",
-                    f"GEMM({i},{j},{k})",
-                    [((i, k), read), ((k, j), read), ((i, j), rw)],
-                )
+    _submit_lu(n_tiles, builder.submit)
     return builder.finish()
 
 

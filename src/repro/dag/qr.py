@@ -14,8 +14,9 @@ This is the flat-tree tiled QR of PLASMA/Chameleon.  Task counts:
 
 from __future__ import annotations
 
-from repro.core.task import Task
-from repro.dag.cholesky import TILE_BYTES
+from typing import Callable, Hashable
+
+from repro.dag.cholesky import TILE_BYTES, Submit, sampling_submit
 from repro.dag.compiled import CompiledGraph, GraphProgram, ProgramBuilder, compile_program
 from repro.dag.dataflow import AccessMode, DataflowTracker
 from repro.dag.graph import TaskGraph
@@ -34,82 +35,34 @@ def qr_task_count(n_tiles: int) -> int:
     return n + n * (n - 1) + tsmqr
 
 
-def qr_graph(
-    n_tiles: int,
-    timing: TimingModel | None = None,
-) -> TaskGraph:
-    """Build the task graph of a flat-tree tiled QR factorization."""
-    if n_tiles < 1:
-        raise ValueError("n_tiles must be >= 1")
-    if timing is None:
-        timing = TimingModel.for_factorization("qr")
+def _submit_qr(
+    n_tiles: int, submit: Submit, declare: Callable[[Hashable, int], None]
+) -> None:
+    """Submit every QR kernel with its accesses, in program order.
 
-    tracker = DataflowTracker(
-        name=f"qr-{n_tiles}", default_handle_bytes=TILE_BYTES
-    )
-    read, rw, write = AccessMode.READ, AccessMode.READ_WRITE, AccessMode.WRITE
-
-    def kernel(kind: str, label: str) -> Task:
-        p, q = timing.sample(kind)
-        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
-
-    for k in range(n_tiles):
-        tracker.set_handle_bytes(("T", k, k), T_TILE_BYTES)
-        for i in range(k + 1, n_tiles):
-            tracker.set_handle_bytes(("T", i, k), T_TILE_BYTES)
-        tracker.submit(
-            kernel("GEQRT", f"GEQRT({k})"),
-            [(("A", k, k), rw), (("T", k, k), write)],
-        )
-        for j in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("ORMQR", f"ORMQR({k},{j})"),
-                [(("A", k, k), read), (("T", k, k), read), (("A", k, j), rw)],
-            )
-        for i in range(k + 1, n_tiles):
-            tracker.submit(
-                kernel("TSQRT", f"TSQRT({i},{k})"),
-                [(("A", k, k), rw), (("A", i, k), rw), (("T", i, k), write)],
-            )
-            for j in range(k + 1, n_tiles):
-                tracker.submit(
-                    kernel("TSMQR", f"TSMQR({i},{j},{k})"),
-                    [
-                        (("A", k, j), rw),
-                        (("A", i, j), rw),
-                        (("A", i, k), read),
-                        (("T", i, k), read),
-                    ],
-                )
-    graph = tracker.graph
-    assert len(graph) == qr_task_count(n_tiles)
-    return graph
-
-
-def qr_program(n_tiles: int) -> GraphProgram:
-    """The QR submission trace for the compiled pipeline (see :func:`qr_graph`)."""
-    if n_tiles < 1:
-        raise ValueError("n_tiles must be >= 1")
-    builder = ProgramBuilder(f"qr-{n_tiles}")
+    ``declare(handle, size)`` gives the ``T`` tiles their size before the
+    step that first touches them.
+    """
     read, rw, write = AccessMode.READ, AccessMode.READ_WRITE, AccessMode.WRITE
     for k in range(n_tiles):
-        builder.submit(
-            "GEQRT", f"GEQRT({k})", [(("A", k, k), rw), (("T", k, k), write)]
-        )
+        declare(("T", k, k), T_TILE_BYTES)
+        for i in range(k + 1, n_tiles):
+            declare(("T", i, k), T_TILE_BYTES)
+        submit("GEQRT", f"GEQRT({k})", [(("A", k, k), rw), (("T", k, k), write)])
         for j in range(k + 1, n_tiles):
-            builder.submit(
+            submit(
                 "ORMQR",
                 f"ORMQR({k},{j})",
                 [(("A", k, k), read), (("T", k, k), read), (("A", k, j), rw)],
             )
         for i in range(k + 1, n_tiles):
-            builder.submit(
+            submit(
                 "TSQRT",
                 f"TSQRT({i},{k})",
                 [(("A", k, k), rw), (("A", i, k), rw), (("T", i, k), write)],
             )
             for j in range(k + 1, n_tiles):
-                builder.submit(
+                submit(
                     "TSMQR",
                     f"TSMQR({i},{j},{k})",
                     [
@@ -119,6 +72,35 @@ def qr_program(n_tiles: int) -> GraphProgram:
                         (("T", i, k), read),
                     ],
                 )
+
+
+def qr_graph(
+    n_tiles: int,
+    timing: TimingModel | None = None,
+) -> TaskGraph:
+    """Build the task graph of a flat-tree tiled QR factorization."""
+    if n_tiles < 1:
+        raise ValueError("n_tiles must be >= 1")
+    if timing is None:
+        timing = TimingModel.for_factorization("qr")
+    tracker = DataflowTracker(
+        name=f"qr-{n_tiles}", default_handle_bytes=TILE_BYTES
+    )
+    _submit_qr(n_tiles, sampling_submit(tracker, timing), tracker.set_handle_bytes)
+    graph = tracker.graph
+    assert len(graph) == qr_task_count(n_tiles)
+    return graph
+
+
+def qr_program(n_tiles: int) -> GraphProgram:
+    """The QR submission trace for the compiled pipeline (see :func:`qr_graph`).
+
+    Handle sizes are a dict-graph attribute, so the program ignores them.
+    """
+    if n_tiles < 1:
+        raise ValueError("n_tiles must be >= 1")
+    builder = ProgramBuilder(f"qr-{n_tiles}")
+    _submit_qr(n_tiles, builder.submit, lambda handle, size: None)
     return builder.finish()
 
 

@@ -601,6 +601,8 @@ def batch_heteroprio_schedule(
     if cpu.ndim != 2 or cpu.shape != gpu.shape:
         raise ValueError("cpu_times/gpu_times must be matching (B, n) arrays")
     mode = migration if spoliation else "none"
+    if mode not in ("spoliation", "preemption", "none"):
+        raise ValueError(f"unknown migration mode {mode!r}")
     if mode == "preemption":
         raise NotImplementedError(
             "preemption migration is sequential per instance; use the scalar loop"

@@ -26,6 +26,16 @@ The loop is written for incremental, allocation-free stepping (see the
   stamp is stale (the execution was spoliated) are skipped without
   touching any other state.
 
+An optional *data-movement hook* (the ``movement`` keyword, a
+:class:`DataMovement`) adds data locality without a second loop: at
+dispatch ``movement.fetch`` brings the kernel's missing inputs to the
+worker and returns the time the kernel itself starts, and at completion
+``movement.complete`` records the kernel's writes.  Policies still see
+the dispatch time as :attr:`RunningView.start`; a completed placement
+starts at the kernel's start, an aborted one at dispatch, and the
+schedule is non-strict.  :func:`repro.comm.runtime.simulate_with_comm`
+is that hook plus one run.
+
 Every run also fills :attr:`RuntimeSimulator.last_stats` with
 :class:`SimStats` hot-loop counters (events, picks, tasks, aborts,
 wall time) — the raw material of ``repro bench``.
@@ -42,7 +52,7 @@ import itertools
 import time as _time
 from dataclasses import asdict, dataclass
 from types import MappingProxyType
-from typing import Iterable
+from typing import Protocol
 
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
@@ -50,7 +60,7 @@ from repro.core.task import Task
 from repro.dag.graph import TaskGraph
 from repro.schedulers.online.base import OnlinePolicy, RunningView, Spoliate, StartTask
 
-__all__ = ["RuntimeSimulator", "SimStats", "simulate"]
+__all__ = ["DataMovement", "RuntimeSimulator", "SimStats", "simulate"]
 
 
 @dataclass
@@ -65,8 +75,7 @@ class SimStats:
 
     The lockstep batch engine (:mod:`repro.simulator.batch`) emits one
     aggregate ``SimStats`` per batch with the same counting conventions,
-    so scalar and batch runs are directly comparable; use
-    :meth:`merge` / :meth:`aggregate` to sum counters across runs.
+    so scalar and batch runs are directly comparable.
     """
 
     events: int = 0
@@ -75,23 +84,6 @@ class SimStats:
     tasks: int = 0
     aborts: int = 0
     wall_s: float = 0.0
-
-    def merge(self, other: "SimStats") -> None:
-        """Accumulate *other*'s counters (and wall clock) into this one."""
-        self.events += other.events
-        self.stale_events += other.stale_events
-        self.picks += other.picks
-        self.tasks += other.tasks
-        self.aborts += other.aborts
-        self.wall_s += other.wall_s
-
-    @classmethod
-    def aggregate(cls, runs: Iterable["SimStats"]) -> "SimStats":
-        """Sum a sequence of per-run stats into one aggregate record."""
-        total = cls()
-        for stats in runs:
-            total.merge(stats)
-        return total
 
     @property
     def events_per_sec(self) -> float:
@@ -108,13 +100,31 @@ class SimStats:
         return payload
 
 
+class DataMovement(Protocol):
+    """The data-movement hook of :class:`RuntimeSimulator`."""
+
+    def fetch(self, task: Task, worker: Worker, now: float) -> float:
+        """Bring *task*'s missing inputs to *worker* from *now*; return its start."""
+
+    def complete(self, task: Task, worker: Worker) -> None:
+        """Record the writes of *task*, just completed on *worker*."""
+
+
 class RuntimeSimulator:
     """Execute a task graph under an online scheduling policy."""
 
-    def __init__(self, graph: TaskGraph, platform: Platform, policy: OnlinePolicy):
+    def __init__(
+        self,
+        graph: TaskGraph,
+        platform: Platform,
+        policy: OnlinePolicy,
+        *,
+        movement: DataMovement | None = None,
+    ):
         self.graph = graph
         self.platform = platform
         self.policy = policy
+        self.movement = movement
         #: Counters of the most recent :meth:`run` (``None`` before).
         self.last_stats: SimStats | None = None
 
@@ -125,6 +135,7 @@ class RuntimeSimulator:
         forever while tasks remain), which would indicate a policy bug.
         """
         graph, platform, policy = self.graph, self.platform, self.policy
+        movement = self.movement
         # repro-lint: disable=wall-clock,flow-nondeterminism -- SimStats.wall_s is bench instrumentation only
         # It never feeds the schedule, the event order, or any
         # ResultCache-keyed metric; the flow analyzer sees it because
@@ -132,7 +143,7 @@ class RuntimeSimulator:
         started = _time.perf_counter()
         stats = SimStats()
         self.last_stats = stats
-        schedule = Schedule(platform)
+        schedule = Schedule(platform, strict=movement is None)
         if len(graph) == 0:
             stats.wall_s = _time.perf_counter() - started
             return schedule
@@ -163,12 +174,15 @@ class RuntimeSimulator:
         running_ro = MappingProxyType(running)
         idle = [True] * n_workers
         generations = [0] * n_workers
+        begins = [0.0] * n_workers  # kernel start of each slot's execution
         events: list[tuple[float, int, int, int]] = []  # (end, seq, slot, gen)
         seq = itertools.count()
         heappush, heappop = heapq.heappush, heapq.heappop
         pick = policy.pick
         notify_started = policy.task_started
         notify_finished = policy.task_finished
+        fetch = movement.fetch if movement is not None else None
+        complete = movement.complete if movement is not None else None
 
         def announce(tasks: list[Task], now: float) -> None:
             tasks.sort(key=lambda t: (-t.priority, t.uid))
@@ -176,7 +190,9 @@ class RuntimeSimulator:
 
         def start(task: Task, slot: int, now: float) -> None:
             worker = workers[slot]
-            end = now + task_times[task][time_index[slot]]
+            begin = now if fetch is None else fetch(task, worker, now)
+            end = begin + task_times[task][time_index[slot]]
+            begins[slot] = begin
             gen = generations[slot] + 1
             generations[slot] = gen
             running[worker] = RunningView(task=task, worker=worker, start=now, end=end)
@@ -244,9 +260,9 @@ class RuntimeSimulator:
                 raise stall_error()
             time, _, slot, gen = heappop(events)
             stats.events += 1
-            finished: list[RunningView] = []
+            finished: list[int] = []
             if generations[slot] == gen:
-                finished.append(running.pop(workers[slot]))
+                finished.append(slot)
                 idle[slot] = True
             else:
                 stats.stale_events += 1
@@ -257,15 +273,18 @@ class RuntimeSimulator:
                 _, _, slot2, gen2 = heappop(events)
                 stats.events += 1
                 if generations[slot2] == gen2:
-                    finished.append(running.pop(workers[slot2]))
+                    finished.append(slot2)
                     idle[slot2] = True
                 else:
                     stats.stale_events += 1
             if not finished:
                 continue
             newly_ready: list[Task] = []
-            for view in finished:
-                schedule.add(view.task, view.worker, view.start, end=view.end)
+            for slot in finished:
+                view = running.pop(workers[slot])
+                schedule.add(view.task, view.worker, begins[slot], end=view.end)
+                if complete is not None:
+                    complete(view.task, view.worker)
                 remaining -= 1
                 stats.tasks += 1
                 notify_finished(view.task, view.worker, view.end)

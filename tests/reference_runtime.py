@@ -21,6 +21,13 @@ The random-graph section keeps the scalar ``layered`` and ``chains``
 generators as they stood before they emitted compiled graphs;
 ``tests/test_random_graphs_compiled.py`` compares the block-drawn
 generators against them.
+
+The last two sections keep ``CommAwareSimulator`` (the communication-
+aware runtime's own copy of the DAG event loop) and the dict-graph
+factorization generators as they stood before each was merged into the
+one implementation; ``tests/test_comm_differential.py`` and
+``tests/test_factorization_differential.py`` compare the merged code
+against them.
 """
 
 from __future__ import annotations
@@ -34,11 +41,19 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from repro.bounds.simple import makespan_lower_bound
+from repro.comm.memory import DataDirectory
+from repro.comm.model import CommunicationModel, location_of
+from repro.comm.runtime import CommRunResult, TransferEvent
 from repro.core.heteroprio import _queue_key, sorted_queue
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
 from repro.core.task import Instance, Task
+from repro.dag.cholesky import TILE_BYTES, cholesky_task_count
+from repro.dag.dataflow import AccessMode, DataflowTracker
 from repro.dag.graph import TaskGraph
+from repro.dag.lu import lu_task_count
+from repro.dag.qr import T_TILE_BYTES, qr_task_count
+from repro.timing.model import TimingModel
 from repro.schedulers.online.base import (
     Action,
     OnlinePolicy,
@@ -58,6 +73,11 @@ __all__ = [
     "reference_dualhp_schedule",
     "reference_layered_random_graph",
     "reference_random_chain_graph",
+    "ReferenceCommAwareSimulator",
+    "reference_simulate_with_comm",
+    "reference_cholesky_graph",
+    "reference_qr_graph",
+    "reference_lu_graph",
 ]
 
 
@@ -854,4 +874,364 @@ def reference_random_chain_graph(
                 other = int(rng.integers(n_chains))
                 if other != c:
                     graph.add_edge(task, chains[other][pos + 1])
+    return graph
+
+
+# -- Communication-aware runtime (pre hook) -------------------------------------
+#
+# Verbatim snapshot of ``repro.comm.runtime``'s own DAG event loop
+# (``CommAwareSimulator``, its ``_Execution`` record renamed
+# ``_CommExecution``, and ``simulate_with_comm``) as it stood before
+# communication-aware runs became a data-movement hook on the one
+# ``RuntimeSimulator``.  ``tests/test_comm_differential.py`` compares
+# placements, transfers and makespans against it.
+
+
+@dataclass
+class _CommExecution:
+    task: Task
+    worker: Worker
+    dispatch: float       # when the worker was committed (transfers start)
+    compute_start: float  # when the kernel itself starts
+    end: float
+    generation: int
+
+
+class ReferenceCommAwareSimulator:
+    """Execute a task graph with data-locality-induced transfer delays."""
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        platform: Platform,
+        policy: OnlinePolicy,
+        *,
+        model: CommunicationModel | None = None,
+    ):
+        self.graph = graph
+        self.platform = platform
+        self.policy = policy
+        self.model = model if model is not None else CommunicationModel()
+
+    def run(self) -> CommRunResult:
+        graph, platform, policy, model = self.graph, self.platform, self.policy, self.model
+        schedule = Schedule(platform, strict=False)
+        transfers: list[TransferEvent] = []
+        directory = DataDirectory()
+        if len(graph) == 0:
+            return CommRunResult(schedule=schedule)
+
+        policy.prepare(platform)
+        attach = getattr(policy, "attach_comm", None)
+        if attach is not None:
+            attach(directory, model, graph)
+
+        indegree = {task: graph.in_degree(task) for task in graph}
+        remaining = len(graph)
+        running: dict[Worker, _CommExecution] = {}
+        idle: set[Worker] = set(platform.workers())
+        generations: dict[Worker, int] = {w: 0 for w in platform.workers()}
+        events: list[tuple[float, int, Worker, int]] = []
+        seq = itertools.count()
+
+        def service_key(worker: Worker) -> tuple[int, int]:
+            return (0 if worker.kind is ResourceKind.GPU else 1, worker.index)
+
+        def announce(tasks: list[Task], now: float) -> None:
+            tasks.sort(key=lambda t: (-t.priority, t.uid))
+            policy.tasks_ready(tasks, now)
+
+        def running_view() -> dict[Worker, RunningView]:
+            return {
+                w: RunningView(task=e.task, worker=w, start=e.dispatch, end=e.end)
+                for w, e in running.items()
+            }
+
+        def start(task: Task, worker: Worker, now: float) -> None:
+            destination = location_of(worker)
+            clock = now
+            for access in graph.accesses.get(task, ()):
+                if not access.mode.reads:
+                    continue
+                if directory.has_copy(access.handle, destination):
+                    continue
+                size = graph.handle_bytes.get(access.handle, 0)
+                src, cost = directory.cheapest_source(
+                    access.handle, destination, size, model
+                )
+                if cost > 0.0:
+                    transfers.append(
+                        TransferEvent(
+                            handle=access.handle,
+                            source=src,
+                            destination=destination,
+                            size_bytes=size,
+                            start=clock,
+                            end=clock + cost,
+                            task=task,
+                            worker=worker,
+                        )
+                    )
+                    clock += cost
+                directory.add_copy(access.handle, destination)
+            compute_start = clock
+            end = compute_start + task.time_on(worker.kind)
+            generations[worker] += 1
+            running[worker] = _CommExecution(
+                task=task,
+                worker=worker,
+                dispatch=now,
+                compute_start=compute_start,
+                end=end,
+                generation=generations[worker],
+            )
+            idle.discard(worker)
+            heapq.heappush(events, (end, next(seq), worker, generations[worker]))
+            policy.task_started(task, worker, now)
+
+        def finish(execution: _CommExecution) -> list[Task]:
+            schedule.add(
+                execution.task,
+                execution.worker,
+                execution.compute_start,
+                end=execution.end,
+            )
+            destination = location_of(execution.worker)
+            for access in graph.accesses.get(execution.task, ()):
+                if access.mode.writes:
+                    directory.write(access.handle, destination)
+            policy.task_finished(execution.task, execution.worker, execution.end)
+            newly_ready = []
+            for succ in graph.successors(execution.task):
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    newly_ready.append(succ)
+            return newly_ready
+
+        def settle(now: float) -> None:
+            progress = True
+            while progress:
+                progress = False
+                for worker in sorted(idle, key=service_key):
+                    if worker not in idle:
+                        continue
+                    action = policy.pick(worker, now, running_view())
+                    if action is None:
+                        continue
+                    if isinstance(action, StartTask):
+                        start(action.task, worker, now)
+                        progress = True
+                    elif isinstance(action, Spoliate):
+                        victim = running.get(action.victim)
+                        if victim is None or victim.worker.kind is worker.kind:
+                            raise RuntimeError(
+                                f"policy {policy.name} issued an invalid spoliation"
+                            )
+                        schedule.add(
+                            victim.task,
+                            victim.worker,
+                            victim.dispatch,
+                            end=now,
+                            aborted=True,
+                        )
+                        del running[victim.worker]
+                        generations[victim.worker] += 1
+                        idle.add(victim.worker)
+                        policy.task_aborted(victim.task, victim.worker, now)
+                        start(victim.task, worker, now)
+                        progress = True
+                    else:  # pragma: no cover - exhaustive Action union
+                        raise TypeError(f"unknown action {action!r}")
+
+        announce(graph.sources(), 0.0)
+        settle(0.0)
+        while remaining > 0:
+            if not events:
+                raise RuntimeError(
+                    f"policy {policy.name} stalled with {remaining} tasks unfinished"
+                )
+            time, _, worker, gen = heapq.heappop(events)
+            finished: list[_CommExecution] = []
+            if generations[worker] == gen:
+                finished.append(running.pop(worker))
+            while events and events[0][0] <= time + TIME_EPS:
+                _, _, worker2, gen2 = heapq.heappop(events)
+                if generations[worker2] == gen2:
+                    finished.append(running.pop(worker2))
+            if not finished:
+                continue
+            newly_ready: list[Task] = []
+            for execution in finished:
+                remaining -= 1
+                idle.add(execution.worker)
+                newly_ready.extend(finish(execution))
+            if newly_ready:
+                announce(newly_ready, time)
+            if remaining > 0:
+                settle(time)
+        return CommRunResult(schedule=schedule, transfers=transfers)
+
+
+def reference_simulate_with_comm(
+    graph: TaskGraph,
+    platform: Platform,
+    policy: OnlinePolicy,
+    *,
+    model: CommunicationModel | None = None,
+) -> CommRunResult:
+    """Convenience wrapper around :class:`ReferenceCommAwareSimulator`."""
+    return ReferenceCommAwareSimulator(graph, platform, policy, model=model).run()
+
+
+# -- Factorization graphs (pre shared submission loop) ---------------------------
+#
+# Verbatim snapshots of ``cholesky_graph``, ``qr_graph`` and ``lu_graph``
+# as they stood before each family's submission loop was written once
+# and shared with ``*_program``.
+# ``tests/test_factorization_differential.py`` compares the dict graphs
+# against them.
+
+
+def reference_cholesky_graph(
+    n_tiles: int,
+    timing: TimingModel | None = None,
+) -> TaskGraph:
+    """Build the task graph of a tiled Cholesky factorization.
+
+    Parameters
+    ----------
+    n_tiles:
+        Number of tile rows/columns ``N`` (the paper sweeps 4..64).
+    timing:
+        Timing model supplying kernel durations; defaults to the
+        calibrated deterministic Cholesky table.
+    """
+    if n_tiles < 1:
+        raise ValueError("n_tiles must be >= 1")
+    if timing is None:
+        timing = TimingModel.for_factorization("cholesky")
+
+    tracker = DataflowTracker(
+        name=f"cholesky-{n_tiles}", default_handle_bytes=TILE_BYTES
+    )
+    read, write = AccessMode.READ, AccessMode.READ_WRITE
+
+    def kernel(kind: str, label: str) -> Task:
+        p, q = timing.sample(kind)
+        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
+
+    for k in range(n_tiles):
+        tracker.submit(kernel("POTRF", f"POTRF({k})"), [((k, k), write)])
+        for i in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("TRSM", f"TRSM({i},{k})"),
+                [((k, k), read), ((i, k), write)],
+            )
+        for i in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("SYRK", f"SYRK({i},{k})"),
+                [((i, k), read), ((i, i), write)],
+            )
+            for j in range(k + 1, i):
+                tracker.submit(
+                    kernel("GEMM", f"GEMM({i},{j},{k})"),
+                    [((i, k), read), ((j, k), read), ((i, j), write)],
+                )
+    graph = tracker.graph
+    assert len(graph) == cholesky_task_count(n_tiles)
+    return graph
+
+
+
+def reference_qr_graph(
+    n_tiles: int,
+    timing: TimingModel | None = None,
+) -> TaskGraph:
+    """Build the task graph of a flat-tree tiled QR factorization."""
+    if n_tiles < 1:
+        raise ValueError("n_tiles must be >= 1")
+    if timing is None:
+        timing = TimingModel.for_factorization("qr")
+
+    tracker = DataflowTracker(
+        name=f"qr-{n_tiles}", default_handle_bytes=TILE_BYTES
+    )
+    read, rw, write = AccessMode.READ, AccessMode.READ_WRITE, AccessMode.WRITE
+
+    def kernel(kind: str, label: str) -> Task:
+        p, q = timing.sample(kind)
+        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
+
+    for k in range(n_tiles):
+        tracker.set_handle_bytes(("T", k, k), T_TILE_BYTES)
+        for i in range(k + 1, n_tiles):
+            tracker.set_handle_bytes(("T", i, k), T_TILE_BYTES)
+        tracker.submit(
+            kernel("GEQRT", f"GEQRT({k})"),
+            [(("A", k, k), rw), (("T", k, k), write)],
+        )
+        for j in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("ORMQR", f"ORMQR({k},{j})"),
+                [(("A", k, k), read), (("T", k, k), read), (("A", k, j), rw)],
+            )
+        for i in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("TSQRT", f"TSQRT({i},{k})"),
+                [(("A", k, k), rw), (("A", i, k), rw), (("T", i, k), write)],
+            )
+            for j in range(k + 1, n_tiles):
+                tracker.submit(
+                    kernel("TSMQR", f"TSMQR({i},{j},{k})"),
+                    [
+                        (("A", k, j), rw),
+                        (("A", i, j), rw),
+                        (("A", i, k), read),
+                        (("T", i, k), read),
+                    ],
+                )
+    graph = tracker.graph
+    assert len(graph) == qr_task_count(n_tiles)
+    return graph
+
+
+
+def reference_lu_graph(
+    n_tiles: int,
+    timing: TimingModel | None = None,
+) -> TaskGraph:
+    """Build the task graph of a tiled LU factorization without pivoting."""
+    if n_tiles < 1:
+        raise ValueError("n_tiles must be >= 1")
+    if timing is None:
+        timing = TimingModel.for_factorization("lu")
+
+    tracker = DataflowTracker(
+        name=f"lu-{n_tiles}", default_handle_bytes=TILE_BYTES
+    )
+    read, rw = AccessMode.READ, AccessMode.READ_WRITE
+
+    def kernel(kind: str, label: str) -> Task:
+        p, q = timing.sample(kind)
+        return Task(cpu_time=p, gpu_time=q, name=label, kind=kind)
+
+    for k in range(n_tiles):
+        tracker.submit(kernel("GETRF", f"GETRF({k})"), [((k, k), rw)])
+        for j in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("TRSM", f"TRSM_row({k},{j})"),
+                [((k, k), read), ((k, j), rw)],
+            )
+        for i in range(k + 1, n_tiles):
+            tracker.submit(
+                kernel("TRSM", f"TRSM_col({i},{k})"),
+                [((k, k), read), ((i, k), rw)],
+            )
+            for j in range(k + 1, n_tiles):
+                tracker.submit(
+                    kernel("GEMM", f"GEMM({i},{j},{k})"),
+                    [((i, k), read), ((k, j), read), ((i, j), rw)],
+                )
+    graph = tracker.graph
+    assert len(graph) == lu_task_count(n_tiles)
     return graph

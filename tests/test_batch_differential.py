@@ -124,6 +124,27 @@ def test_independent_preemption_unsupported():
         batch_heteroprio_schedule(cpu, gpu, Platform(2, 1), migration="preemption")
 
 
+def test_misspelled_migration_mode_rejected_by_both_entries():
+    rows, cpu, gpu = _independent_rows(30, [0])
+    with pytest.raises(ValueError, match="unknown migration mode 'spoliaton'"):
+        heteroprio_schedule(Instance(rows[0]), Platform(4, 2), migration="spoliaton")
+    with pytest.raises(ValueError, match="unknown migration mode 'spoliaton'"):
+        batch_heteroprio_schedule(cpu, gpu, Platform(4, 2), migration="spoliaton")
+
+
+# "spoliation" and "none" are pinned by the seed-sweep and migration-none
+# tests above; spoliation=False ignores the mode, on both entries.
+@pytest.mark.parametrize("migration", ["spoliation", "spoliaton"])
+def test_independent_spoliation_disabled(migration):
+    rows, cpu, gpu = _independent_rows(30, range(70, 76))
+    platforms = [Platform(4, 2)] * len(rows)
+    result = batch_heteroprio_schedule(
+        cpu, gpu, platforms, spoliation=False, migration=migration
+    )
+    assert_same_heteroprio_rows(rows, platforms, result, migration="none")
+    assert result.stats.aborts == 0
+
+
 def test_independent_extreme_divergence_rows_finish_at_different_times():
     # Rows scaled 0.1x to 50x: fast rows complete while slow rows are
     # still mid-flight, so the masked sub-stepping carries most of the

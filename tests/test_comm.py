@@ -20,7 +20,8 @@ from repro.dag.cholesky import TILE_BYTES, cholesky_graph
 from repro.dag.dataflow import AccessMode, DataflowTracker
 from repro.dag.graph import TaskGraph
 from repro.dag.priorities import assign_priorities
-from repro.schedulers.online import HeteroPrioPolicy, make_policy
+from repro.dag.qr import qr_graph
+from repro.schedulers.online import POLICIES, HeteroPrioPolicy, make_policy
 from repro.simulator import simulate
 
 from conftest import assert_precedence_respected
@@ -132,15 +133,23 @@ def _two_kernel_graph() -> TaskGraph:
 
 class TestCommRuntime:
     def test_zero_comm_matches_plain_simulator(self):
-        platform = Platform(4, 2)
-        graph = cholesky_graph(8)
-        assign_priorities(graph, platform, "min")
-        plain = simulate(graph, platform, make_policy("heteroprio-min")).makespan
-        with_zero = simulate_with_comm(
-            graph, platform, make_policy("heteroprio-min"), model=ZERO_COMM
-        )
-        assert with_zero.makespan == plain
-        assert with_zero.transfers == []
+        # Placement for placement, for every POLICIES prefix.
+        # CommAwareHeftPolicy is left out: its worker tie-break differs
+        # from HeftPolicy's by design, so it may place tasks apart at an
+        # equal makespan.
+        for build in (cholesky_graph, qr_graph):
+            for n_tiles in (4, 8):
+                graph = build(n_tiles)
+                for platform in (Platform(4, 2), Platform(3, 1), Platform(1, 2)):
+                    assign_priorities(graph, platform, "min")
+                    for policy in POLICIES.values():
+                        plain = simulate(graph, platform, policy())
+                        with_zero = simulate_with_comm(
+                            graph, platform, policy(), model=ZERO_COMM
+                        )
+                        assert with_zero.schedule.placements == plain.placements
+                        assert with_zero.makespan == plain.makespan
+                        assert with_zero.transfers == []
 
     def test_transfers_are_traced(self):
         platform = Platform(1, 1)
