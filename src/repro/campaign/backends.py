@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import collections
 import multiprocessing
+import signal
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, Sequence, Tuple
 
@@ -70,6 +71,10 @@ def _mp_context() -> Any:
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
+def _exit_on_sigterm(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def _ws_worker(
     worker_id: int,
     inq: Any,
@@ -85,6 +90,9 @@ def _ws_worker(
     """
     from repro.campaign.executor import ensure_graph_store, execute_unit
 
+    # The parent stops workers with SIGTERM.  Exiting through Python lets
+    # a graph-store write cut short remove its temp file.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     if store_root is not None:
         ensure_graph_store(store_root, salt=store_salt)
     while True:

@@ -44,17 +44,10 @@ class CommAwareHeftPolicy(HeftPolicy):
     def _transfer_estimate(self, task: Task, worker: Worker) -> float:
         if self._directory is None or self._model is None or self._graph is None:
             return 0.0
-        destination = location_of(worker)
         total = 0.0
-        for access in self._graph.accesses.get(task, ()):
-            if not access.mode.reads:
-                continue
-            if self._directory.has_copy(access.handle, destination):
-                continue
-            size = self._graph.handle_bytes.get(access.handle, 0)
-            _, cost = self._directory.cheapest_source(
-                access.handle, destination, size, self._model
-            )
+        for *_, cost in self._directory.missing_reads(
+            self._graph, task, location_of(worker), self._model
+        ):
             total += cost
         return total
 

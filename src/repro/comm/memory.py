@@ -9,9 +9,11 @@ factorization is submitted).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Iterator
 
 from repro.comm.model import RAM, CommunicationModel, Location
+from repro.core.task import Task
+from repro.dag.graph import TaskGraph
 
 __all__ = ["DataDirectory"]
 
@@ -50,6 +52,29 @@ class DataDirectory:
                 best_src = src
         assert best_src is not None
         return best_src, best_time
+
+    def missing_reads(
+        self,
+        graph: TaskGraph,
+        task: Task,
+        destination: Location,
+        model: CommunicationModel,
+    ) -> Iterator[tuple[Hashable, int, Location, float]]:
+        """The handles *task* reads without a valid copy at *destination*.
+
+        Yields ``(handle, size_bytes, source, transfer_time)`` per missing
+        read, from its cheapest source.  The scan itself changes nothing
+        and checks each handle only when it gets there, so a caller that
+        records each copy as it fetches it (:meth:`add_copy`) is seen by
+        the rest of the scan, and an estimate leaves the directory as it
+        was.
+        """
+        for access in graph.accesses.get(task, ()):
+            if not access.mode.reads or self.has_copy(access.handle, destination):
+                continue
+            size = graph.handle_bytes.get(access.handle, 0)
+            source, time = self.cheapest_source(access.handle, destination, size, model)
+            yield access.handle, size, source, time
 
     def add_copy(self, handle: Hashable, location: Location) -> None:
         """Record a new shared copy (after a read replication)."""

@@ -79,22 +79,16 @@ class _Transfers:
 
     def fetch(self, task: Task, worker: Worker, now: float) -> float:
         """Fetch every input without a valid copy at *worker*, one after another."""
-        graph, directory = self.graph, self.directory
+        directory = self.directory
         destination = location_of(worker)
         clock = now
-        for access in graph.accesses.get(task, ()):
-            if not access.mode.reads:
-                continue
-            if directory.has_copy(access.handle, destination):
-                continue
-            size = graph.handle_bytes.get(access.handle, 0)
-            src, cost = directory.cheapest_source(
-                access.handle, destination, size, self.model
-            )
+        for handle, size, src, cost in directory.missing_reads(
+            self.graph, task, destination, self.model
+        ):
             if cost > 0.0:
                 self.transfers.append(
                     TransferEvent(
-                        handle=access.handle,
+                        handle=handle,
                         source=src,
                         destination=destination,
                         size_bytes=size,
@@ -105,7 +99,7 @@ class _Transfers:
                     )
                 )
                 clock += cost
-            directory.add_copy(access.handle, destination)
+            directory.add_copy(handle, destination)
         return clock
 
     def complete(self, task: Task, worker: Worker) -> None:

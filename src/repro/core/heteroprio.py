@@ -13,6 +13,9 @@ acceleration factor, the highest-priority task is placed first in the
 queue when ``rho >= 1`` and last when ``rho < 1``, so that both ends of
 the queue serve urgent tasks first.  Among spoliation candidates with
 equal expected completion times, the highest-priority one is chosen.
+Idle workers are served GPUs first.  This module owns no event loop:
+Algorithm 1 is the online HeteroPrio policy with ``victim_rule="completion"``
+on a graph without edges, run by :mod:`repro.simulator.runtime`.
 
 The module exposes:
 
@@ -25,15 +28,13 @@ The module exposes:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
-from repro.core.platform import Platform, ResourceKind, Worker
-from repro.core.schedule import Schedule, TIME_EPS
+from repro.core.platform import Platform, Worker
+from repro.core.schedule import Schedule
 from repro.core.task import Instance, Task
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "sorted_queue",
     "batch_queue_order",
 ]
-
-ServiceOrder = Literal["gpu_first", "cpu_first"]
 
 #: How an idle worker may take over a task running on the other class:
 #: ``"spoliation"`` restarts it from scratch (the paper's mechanism),
@@ -136,25 +135,12 @@ def batch_queue_order(
     return np.lexsort((tertiary, secondary, rho), axis=-1)
 
 
-@dataclass
-class _Running:
-    """Mutable record of a task (or task fraction) executing on a worker."""
-
-    task: Task
-    worker: Worker
-    start: float
-    end: float
-    generation: int  # invalidates stale heap events after spoliation
-    fraction: float = 1.0  # fraction of the task this execution covers
-
-
 def heteroprio_schedule(
     instance: Instance,
     platform: Platform,
     *,
     spoliation: bool = True,
     migration: MigrationMode = "spoliation",
-    service_order: ServiceOrder = "gpu_first",
     compute_ns: bool = True,
 ) -> HeteroPrioResult:
     """Run HeteroPrio (Algorithm 1) on an independent-task instance.
@@ -175,11 +161,6 @@ def heteroprio_schedule(
         migration — an upper bound on what any migration mechanism could
         achieve; the resulting schedule is marked non-strict), or
         ``"none"``.  Ignored when *spoliation* is ``False``.
-    service_order:
-        Which class of simultaneously idle workers is served first.  The
-        paper leaves this choice free ("select an idle worker"); GPUs
-        first is the natural choice for runtime systems (and the one that
-        realises the worst-case constructions of Theorems 8, 11 and 14).
     compute_ns:
         Also compute :math:`S_{HP}^{NS}` (a second, spoliation-free run)
         so the result carries both schedules.  Disable for speed when
@@ -198,178 +179,45 @@ def heteroprio_schedule(
         return HeteroPrioResult(schedule=empty, ns_schedule=Schedule(platform), t_first_idle=0.0)
 
     mode: MigrationMode = migration if spoliation else "none"
-    if mode not in ("spoliation", "preemption", "none"):
-        raise ValueError(f"unknown migration mode {mode!r}")
-    schedule, spoliations, t_first_idle = _run(instance, platform, mode, service_order)
-    if compute_ns:
-        if mode != "none":
-            ns_schedule, _, ns_first_idle = _run(instance, platform, "none", service_order)
-        else:
-            ns_schedule, ns_first_idle = schedule, t_first_idle
+    schedule, t_first_idle = _simulate(instance, platform, mode)
+    if not compute_ns:
+        ns_schedule = Schedule(platform)
+    elif mode == "none":
+        ns_schedule = schedule
     else:
-        ns_schedule, ns_first_idle = Schedule(platform), t_first_idle
+        ns_schedule, t_first_idle = _simulate(instance, platform, "none")
     return HeteroPrioResult(
         schedule=schedule,
         ns_schedule=ns_schedule,
-        t_first_idle=ns_first_idle,
-        spoliations=spoliations,
+        t_first_idle=t_first_idle,
+        spoliations=_spoliation_events(schedule),
     )
 
 
-def _worker_service_key(order: ServiceOrder) -> Callable[[Worker], tuple[int, int]]:
-    def key(worker: Worker) -> tuple[int, int]:
-        gpu_rank = 0 if worker.kind is ResourceKind.GPU else 1
-        if order == "cpu_first":
-            gpu_rank = 1 - gpu_rank
-        return (gpu_rank, worker.index)
+def _simulate(
+    instance: Instance, platform: Platform, migration: MigrationMode
+) -> tuple[Schedule, float]:
+    """One run of Algorithm 1: the schedule and its first idle instant.
 
-    return key
-
-
-def _run(
-    instance: Instance,
-    platform: Platform,
-    migration: MigrationMode,
-    service_order: ServiceOrder,
-) -> tuple[Schedule, list[SpoliationEvent], float]:
-    """Discrete-event execution of Algorithm 1.
-
-    Uses the same incremental hot-path layout as the DAG simulator
-    (:mod:`repro.simulator.runtime`): workers are dense integer slots so
-    the loop never hashes ``Worker`` dataclasses, the idle set is a flag
-    array walked in a precomputed service order, per-task times are
-    flattened up front, and the affinity queue is the O(log n)
-    double-ended heap popping in exactly the order of the sorted list it
-    replaced (``tests/test_differential_simcore.py`` pins the whole loop
-    event-for-event against the pre-optimization implementation).
+    The runtime opens completion windows on stale events too, which
+    cannot change an independent run (``docs/architecture.md``, "One
+    event loop").
     """
-    # Lazy import: the online-policy package imports this module at load
-    # time, so a top-level import would be circular.
-    from repro.schedulers.online.ready_queue import DualEndedTaskQueue
+    # Function-local imports: the simulator and the online policies
+    # import this module at load time.
+    from repro.dag.graph import TaskGraph
+    from repro.schedulers.online.heteroprio import HeteroPrioPolicy
+    from repro.simulator.runtime import RuntimeSimulator
 
-    # The double-ended affinity queue Q: pop_min is the CPU end (least
-    # accelerated), pop_max the GPU end.
-    queue: DualEndedTaskQueue[Task] = DualEndedTaskQueue()
-    queue.extend([(_queue_key(t), t) for t in instance])
+    graph = TaskGraph("independent")
+    for task in instance:
+        graph.add_task(task)
+    policy = HeteroPrioPolicy(migration=migration, victim_rule="completion")
+    schedule = RuntimeSimulator(graph, platform, policy).run()
     # Preempted tasks complete in several partial placements, so exact
     # per-placement durations cannot be enforced.
-    schedule = Schedule(platform, strict=(migration != "preemption"))
-    spoliations: list[SpoliationEvent] = []
-
-    # Slots are numbered in service order, so a plain integer sort of the
-    # idle set reproduces the service-order walk of the old settle().
-    service_key = _worker_service_key(service_order)
-    workers: tuple[Worker, ...] = tuple(sorted(platform.workers(), key=service_key))
-    n_workers = len(workers)
-    # Index into the per-task (cpu_time, gpu_time) pair for each slot.
-    time_index = tuple(
-        1 if w.kind is ResourceKind.GPU else 0 for w in workers
-    )
-    task_times = {t: (t.cpu_time, t.gpu_time) for t in instance}
-
-    running: list[_Running | None] = [None] * n_workers
-    idle = set(range(n_workers))
-    remaining = len(instance)
-    t_first_idle: float | None = None
-
-    # Event heap: (time, sequence, slot, generation).  The generation
-    # counter invalidates completion events of spoliated executions.
-    events: list[tuple[float, int, int, int]] = []
-    seq = itertools.count()
-    generations = [0] * n_workers
-
-    def start_task(task: Task, slot: int, now: float, fraction: float = 1.0) -> None:
-        end = now + fraction * task_times[task][time_index[slot]]
-        gen = generations[slot] + 1
-        generations[slot] = gen
-        running[slot] = _Running(task=task, worker=workers[slot], start=now,
-                                 end=end, generation=gen, fraction=fraction)
-        idle.discard(slot)
-        heapq.heappush(events, (end, next(seq), slot, gen))
-
-    def try_assign(slot: int, now: float) -> bool:
-        """Give the worker in *slot* a task from the queue, or spoliate."""
-        nonlocal t_first_idle
-        if queue:
-            task = queue.pop_max() if time_index[slot] else queue.pop_min()
-            start_task(task, slot, now)
-            return True
-        if t_first_idle is None:
-            t_first_idle = now
-        if migration == "none":
-            return False
-        # Migration attempt: victims on the other class, by decreasing
-        # expected completion time, ties broken by higher priority.
-        other_index = 1 - time_index[slot]
-        victims = [
-            (vslot, r)
-            for vslot, r in enumerate(running)
-            if r is not None and time_index[vslot] == other_index
-        ]
-        victims.sort(key=lambda vr: (-vr[1].end, -vr[1].task.priority, vr[1].task.uid))
-        for vslot, victim in victims:
-            if migration == "preemption":
-                # Progress carries over: only the unfinished fraction of
-                # the task must run on the new worker.
-                done_share = (now - victim.start) / (victim.end - victim.start)
-                fraction = victim.fraction * (1.0 - done_share)
-            else:
-                fraction = 1.0  # spoliation: progress is lost
-            new_end = now + fraction * task_times[victim.task][time_index[slot]]
-            if new_end < victim.end - TIME_EPS:
-                schedule.add(victim.task, victim.worker, victim.start, end=now, aborted=True)
-                running[vslot] = None
-                idle.add(vslot)
-                generations[vslot] += 1  # cancel its completion event
-                spoliations.append(
-                    SpoliationEvent(
-                        task=victim.task,
-                        victim_worker=victim.worker,
-                        new_worker=workers[slot],
-                        abort_time=now,
-                        old_completion=victim.end,
-                        new_completion=new_end,
-                    )
-                )
-                start_task(victim.task, slot, now, fraction)
-                return True
-        return False
-
-    def settle(now: float) -> None:
-        """Serve idle workers until no further action is possible."""
-        progress = True
-        while progress:
-            progress = False
-            for slot in sorted(idle):
-                if slot in idle and try_assign(slot, now):
-                    progress = True
-
-    settle(0.0)
-    while remaining > 0:
-        if not events:  # pragma: no cover - defensive; cannot happen
-            raise RuntimeError("HeteroPrio stalled with unfinished tasks")
-        time, _, slot, gen = heapq.heappop(events)
-        if generations[slot] != gen:
-            continue  # stale event: the execution was spoliated
-        record = running[slot]
-        running[slot] = None
-        schedule.add(record.task, record.worker, record.start, end=record.end)
-        remaining -= 1
-        idle.add(slot)
-        # Batch all completions at the same instant before re-dispatching,
-        # so simultaneous finishers see a consistent queue state.
-        while events and events[0][0] <= time + TIME_EPS:
-            time2, _, slot2, gen2 = heapq.heappop(events)
-            if generations[slot2] != gen2:
-                continue
-            record2 = running[slot2]
-            running[slot2] = None
-            schedule.add(record2.task, record2.worker, record2.start, end=record2.end)
-            remaining -= 1
-            idle.add(slot2)
-        if remaining > 0:
-            settle(time)
-
+    schedule.strict = migration != "preemption"
+    t_first_idle = policy.first_idle
     if t_first_idle is None:
         # Every worker was busy continuously until its final completion:
         # the first idle instant is the earliest of those final completions.
@@ -377,4 +225,19 @@ def _run(
             max((p.end for p in schedule.worker_timeline(w)), default=0.0)
             for w in platform.workers()
         )
-    return schedule, spoliations, t_first_idle
+    return schedule, t_first_idle
+
+
+def _spoliation_events(schedule: Schedule) -> list[SpoliationEvent]:
+    """The spoliations behind *schedule*'s aborted placements, in order.
+
+    A task migrates at most once (no worker of its first class can beat
+    its restart), so each aborted placement interrupted a whole
+    execution and pairs with the task's completed placement.
+    """
+    final = {p.task: p for p in schedule.completed_placements()}
+    return [
+        SpoliationEvent(p.task, p.worker, final[p.task].worker, p.end,
+                        p.start + p.full_duration, final[p.task].end)
+        for p in schedule.aborted_placements()
+    ]

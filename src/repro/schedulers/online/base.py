@@ -5,8 +5,9 @@ polled whenever a worker is idle.  It answers with an :class:`Action`:
 
 * :class:`StartTask` — run a ready task on the polled worker;
 * :class:`Spoliate` — abort the task running on another worker (of the
-  other resource class) and restart it from scratch on the polled
-  worker, the paper's spoliation mechanism;
+  other resource class) and restart it on the polled worker: from
+  scratch (the paper's spoliation mechanism), or keeping the victim's
+  progress (idealised preemption);
 * ``None`` — leave the worker idle until the next event.
 
 Policies never see wall-clock state beyond what a real runtime scheduler
@@ -53,9 +54,14 @@ class StartTask:
 
 @dataclass(frozen=True)
 class Spoliate:
-    """Abort the execution on *victim* and restart its task on the poller."""
+    """Abort the execution on *victim* and restart its task on the poller.
+
+    The restart runs the whole task again, or with ``keep_progress``
+    only its unfinished share (idealised preemption).
+    """
 
     victim: Worker
+    keep_progress: bool = False
 
 
 Action = Union[StartTask, Spoliate]
@@ -67,13 +73,15 @@ def spoliation_victim(
     running: Mapping[Worker, "RunningView"],
     *,
     victim_rule: str = "priority",
+    keep_progress: bool = False,
 ) -> Spoliate | None:
     """Pick the spoliation victim for an idle *worker*, or ``None``.
 
     The one candidate scan shared by every spoliating policy: consider
     executions on the *other* resource class whose completion the idle
     worker would improve by more than ``TIME_EPS`` (restarting the task
-    from scratch), then order the candidates by the victim rule —
+    from scratch, or with ``keep_progress`` running only its unfinished
+    share), then order the candidates by the victim rule —
 
     * ``"priority"`` — Section 6.2's DAG rule: highest priority first,
       then latest expected completion, then ``uid``;
@@ -100,6 +108,10 @@ def spoliation_victim(
             continue
         task = view.task
         new_time = task.cpu_time if on_cpu else task.gpu_time
+        if keep_progress:
+            # The unfinished share: a task preempted once moved to the
+            # class that runs it faster, so only whole executions qualify.
+            new_time *= 1.0 - (time - view.start) / (view.end - view.start)
         if time + new_time >= view.end - TIME_EPS:
             continue
         if by_priority:
@@ -111,7 +123,7 @@ def spoliation_victim(
             best_worker = view.worker
     if best_worker is None:
         return None
-    return Spoliate(best_worker)
+    return Spoliate(best_worker, keep_progress)
 
 
 class OnlinePolicy(abc.ABC):

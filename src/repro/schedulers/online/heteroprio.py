@@ -1,9 +1,9 @@
-"""HeteroPrio as an online DAG policy (Section 6.2).
+"""HeteroPrio as an online policy: Section 6.2 on DAGs, and Algorithm 1
+(:func:`repro.core.heteroprio.heteroprio_schedule`) on edge-free graphs.
 
-The ready tasks live in one queue sorted by acceleration factor exactly
-as in the independent case (:mod:`repro.core.heteroprio`): idle GPUs pop
-the most accelerated end, idle CPUs the least accelerated end, ties
-resolved by priority.  When the queue is empty, an idle worker attempts
+The ready tasks live in one queue sorted by acceleration factor: idle
+GPUs pop the most accelerated end, idle CPUs the least accelerated end,
+ties resolved by priority.  When the queue is empty, an idle worker attempts
 spoliation on the other resource class (victims in decreasing expected
 completion time, ties by priority) — this is the mechanism that lets
 HeteroPrio recover from affinity mistakes near the end of DAG phases.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.core.heteroprio import _queue_key
+from repro.core.heteroprio import MigrationMode, _queue_key
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.task import Task
 from repro.schedulers.online.base import (
@@ -37,27 +37,44 @@ __all__ = ["HeteroPrioPolicy"]
 class HeteroPrioPolicy(OnlinePolicy):
     """Affinity queue + spoliation, applied to the current ready set.
 
+    ``spoliation`` and ``migration`` take the values of
+    :func:`~repro.core.heteroprio.heteroprio_schedule`: an idle worker
+    facing an empty queue restarts a task from the other class
+    (``"spoliation"``), moves it with its progress (``"preemption"``)
+    or stays idle (``"none"``, or ``spoliation=False``).
+
     ``victim_rule`` selects how spoliation candidates are ordered:
     ``"priority"`` (default) is the DAG rule of Section 6.2 — among the
     improvable candidates, spoliate the highest-priority one;
     ``"completion"`` is Algorithm 1's rule for independent tasks —
-    consider candidates by decreasing expected completion time.  With
-    ``"completion"`` this policy on an edge-free graph replays
-    :func:`repro.core.heteroprio.heteroprio_schedule` exactly (a
-    differential test in ``tests/test_runtime.py`` holds it to that).
+    consider candidates by decreasing expected completion time.
+    :attr:`first_idle` is the first instant of a run at which a polled
+    worker found the queue empty (:math:`T_{FirstIdle}`).
     """
 
     name = "heteroprio"
 
-    def __init__(self, *, spoliation: bool = True, victim_rule: str = "priority"):
+    def __init__(
+        self,
+        *,
+        spoliation: bool = True,
+        migration: MigrationMode = "spoliation",
+        victim_rule: str = "priority",
+    ):
+        mode = migration if spoliation else "none"
+        if mode not in ("spoliation", "preemption", "none"):
+            raise ValueError(f"unknown migration mode {mode!r}")
         if victim_rule not in ("priority", "completion"):
             raise ValueError(f"unknown victim_rule {victim_rule!r}")
-        self.spoliation = spoliation
+        self.migration: MigrationMode = mode
         self.victim_rule = victim_rule
+        self._keep_progress = mode == "preemption"
         self._queue: DualEndedTaskQueue[Task] = DualEndedTaskQueue()
+        self.first_idle: float | None = None
 
     def prepare(self, platform: Platform) -> None:
         self._queue = DualEndedTaskQueue()
+        self.first_idle = None
 
     def tasks_ready(self, tasks: Sequence[Task], time: float) -> None:
         push = self._queue.push
@@ -75,6 +92,9 @@ class HeteroPrioPolicy(OnlinePolicy):
             if worker.kind is ResourceKind.GPU:
                 return StartTask(queue.pop_max())
             return StartTask(queue.pop_min())
-        if not self.spoliation:
+        if self.first_idle is None:
+            self.first_idle = time
+        if self.migration == "none":
             return None
-        return spoliation_victim(worker, time, running, victim_rule=self.victim_rule)
+        return spoliation_victim(worker, time, running, victim_rule=self.victim_rule,
+                                 keep_progress=self._keep_progress)

@@ -4,11 +4,14 @@ This package plays the role of StarPU in the paper's Section 6.2: it
 executes a :class:`~repro.dag.graph.TaskGraph` on a
 :class:`~repro.core.platform.Platform` under a pluggable online policy
 (:mod:`repro.schedulers.online`), maintaining the ready set as
-dependencies resolve and honouring spoliation requests.
+dependencies resolve and honouring spoliation requests.  It is the one
+scalar event loop: independent HeteroPrio
+(:func:`repro.core.heteroprio.heteroprio_schedule`) runs on it too, as
+a graph without edges.
 
 :mod:`repro.simulator.batch` is the lockstep tier for independent
 tasks: it advances a whole batch of HeteroPrio instances at once over
-``(B, n)`` arrays, event-for-event identical to the scalar loop of
+``(B, n)`` arrays, event-for-event identical to
 :func:`repro.core.heteroprio.heteroprio_schedule`.
 """
 

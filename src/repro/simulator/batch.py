@@ -21,20 +21,26 @@ The campaign executor routes independent-mode seed sweeps here
 (:func:`batch_heteroprio_schedule`); DAG-mode HeteroPrio runs on the
 scalar simulator (:func:`repro.simulator.simulate`).
 
-Semantics are **event-for-event identical** to the scalar loop of
-:func:`repro.core.heteroprio.heteroprio_schedule`, which remains the
-authoritative differential reference — see
+Semantics are **event-for-event identical** to the scalar
+:func:`repro.core.heteroprio.heteroprio_schedule` (Algorithm 1 on the
+one scalar event loop, :class:`~repro.simulator.runtime.RuntimeSimulator`),
+which remains the authoritative differential reference — see
 ``tests/test_batch_differential.py``.  Bit-identity matters beyond
 testing hygiene: campaign results are content-addressed under
 ``CODE_VERSION``, so the batch engine must reproduce the scalar floats
 exactly for the cache to stay valid.  The two properties that make this
 achievable:
 
-* the scalar loop processes completions in ``(end, seq)`` heap order,
-  skips stale (spoliated) events at the pop and anchors each completion
-  window at the first live one; the batch engine reproduces the exact
-  pop order with a lexsort and anchors each row's window at its
-  earliest live completion;
+* the scalar loop processes completions in ``(end, seq)`` heap order
+  and anchors each completion window at the first popped event, stale
+  (spoliated) or not; the batch engine reproduces the exact pop order
+  with a lexsort and anchors each row's window at its earliest live
+  completion.  The two windowings agree on independent rows because
+  nothing can happen in a window anchored on a stale event: a stale
+  event only follows a spoliation, after which the queue stays empty;
+  the spoliating worker turned down every victim ending after the
+  spoliated task's old completion, and that test only gets harder as
+  time passes; and a restarted task is never spoliated again;
 * every arithmetic operation on times (``end = now + duration``, the
   spoliation improvement test) is the same IEEE-754 float64 operation
   in numpy as in CPython, applied to the same operands in the same
@@ -487,8 +493,9 @@ class _LockstepEngine:
             if not act.any():
                 break
             # Each row's window anchors at its earliest live completion;
-            # a spoliated execution's old completion is gone from w_end,
-            # just as the scalar loop skips its stale event.
+            # a spoliated execution's old completion is gone from w_end.
+            # The scalar loop anchors on that stale event instead, where
+            # no action can fire (module docstring), so windows agree.
             t = self.w_end.min(axis=1)
             stalled = act & ~np.isfinite(t)
             if stalled.any():

@@ -3,10 +3,13 @@
 The simulator advances time over task-completion events.  At each event
 it (1) retires finished executions, (2) releases successors whose last
 dependency just resolved, announcing them to the policy in priority
-order, and (3) repeatedly polls idle workers (GPUs first, then CPUs, as
-in :mod:`repro.core.heteroprio`) until no policy action is possible.
-Spoliation aborts the victim's in-flight execution — its progress is
-lost and the interval is recorded as an aborted placement.
+order, and (3) repeatedly polls idle workers (GPUs first, then CPUs,
+each by index) until no policy action is possible.  Spoliation aborts
+the victim's in-flight execution (recorded as an aborted placement) and
+restarts its task from scratch, or, when the ``Spoliate`` keeps the
+victim's progress (idealised preemption), runs only its unfinished
+share in a non-strict schedule.  This is the one scalar event loop:
+:func:`repro.core.heteroprio.heteroprio_schedule` runs here too.
 
 The loop is written for incremental, allocation-free stepping (see the
 "Simulator internals" section of ``docs/architecture.md``):
@@ -162,6 +165,8 @@ class RuntimeSimulator:
         ))
         # 1 = GPU time, 0 = CPU time: index into the per-task time pair.
         time_index = tuple(1 if k is ResourceKind.GPU else 0 for k in kind_of)
+        # Per-task (cpu_time, gpu_time) still to run; a preempted task
+        # keeps only its unfinished share.
         task_times = {t: (t.cpu_time, t.gpu_time) for t in graph}
         succ_of = graph.successor_map()
         indegree = {task: graph.in_degree(task) for task in graph}
@@ -233,6 +238,11 @@ class RuntimeSimulator:
                         idle[vslot] = True
                         stats.aborts += 1
                         policy.task_aborted(victim.task, victim.worker, now)
+                        if action.keep_progress:
+                            share = 1.0 - (now - victim.start) / (victim.end - victim.start)
+                            cpu_time, gpu_time = task_times[victim.task]
+                            task_times[victim.task] = (share * cpu_time, share * gpu_time)
+                            schedule.strict = False
                         start(victim.task, slot, now)
                         progress = True
                     else:  # pragma: no cover - exhaustive Action union

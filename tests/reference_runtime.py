@@ -22,11 +22,13 @@ generators as they stood before they emitted compiled graphs;
 ``tests/test_random_graphs_compiled.py`` compares the block-drawn
 generators against them.
 
-The last two sections keep ``CommAwareSimulator`` (the communication-
-aware runtime's own copy of the DAG event loop) and the dict-graph
-factorization generators as they stood before each was merged into the
-one implementation; ``tests/test_comm_differential.py`` and
-``tests/test_factorization_differential.py`` compare the merged code
+The last three sections keep ``CommAwareSimulator`` (the communication-
+aware runtime's own copy of the DAG event loop), the dict-graph
+factorization generators and the independent HeteroPrio core's own
+event loop as they stood before each was merged into the one
+implementation; ``tests/test_comm_differential.py``,
+``tests/test_factorization_differential.py`` and
+``tests/test_heteroprio_differential.py`` compare the merged code
 against them.
 """
 
@@ -36,7 +38,7 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +46,13 @@ from repro.bounds.simple import makespan_lower_bound
 from repro.comm.memory import DataDirectory
 from repro.comm.model import CommunicationModel, location_of
 from repro.comm.runtime import CommRunResult, TransferEvent
-from repro.core.heteroprio import _queue_key, sorted_queue
+from repro.core.heteroprio import (
+    HeteroPrioResult,
+    MigrationMode,
+    SpoliationEvent,
+    _queue_key,
+    sorted_queue,
+)
 from repro.core.platform import Platform, ResourceKind, Worker
 from repro.core.schedule import Schedule, TIME_EPS
 from repro.core.task import Instance, Task
@@ -78,6 +86,7 @@ __all__ = [
     "reference_cholesky_graph",
     "reference_qr_graph",
     "reference_lu_graph",
+    "reference_heteroprio_schedule",
 ]
 
 
@@ -1235,3 +1244,246 @@ def reference_lu_graph(
     graph = tracker.graph
     assert len(graph) == lu_task_count(n_tiles)
     return graph
+
+
+# -- Independent HeteroPrio core (pre one event loop) ---------------------------
+#
+# Verbatim snapshot of ``repro.core.heteroprio``'s ``heteroprio_schedule``
+# and its own event loop (``_run``, renamed ``_reference_heteroprio_run``,
+# with ``_worker_service_key``; its ``_Running`` record is the one above)
+# as they stood before Algorithm 1 ran on the one ``RuntimeSimulator``.
+# ``tests/test_heteroprio_differential.py`` compares placements,
+# ``ns_schedule``, ``t_first_idle``, spoliation events and ``strict``
+# against it in every migration mode.
+
+
+def reference_heteroprio_schedule(
+    instance: Instance,
+    platform: Platform,
+    *,
+    spoliation: bool = True,
+    migration: MigrationMode = "spoliation",
+    service_order: str = "gpu_first",
+    compute_ns: bool = True,
+) -> HeteroPrioResult:
+    """Run HeteroPrio (Algorithm 1) on an independent-task instance.
+
+    Parameters
+    ----------
+    instance:
+        The independent tasks to schedule.
+    platform:
+        The target ``(m, n)`` node.  Must have at least one CPU and one
+        GPU when *spoliation* is enabled (otherwise spoliation is moot).
+    spoliation:
+        When ``False``, produce the pure list schedule
+        :math:`S_{HP}^{NS}` (used by the proofs and for analysis).
+    migration:
+        ``"spoliation"`` (the paper's restart-from-scratch mechanism,
+        default), ``"preemption"`` (idealised progress-preserving
+        migration — an upper bound on what any migration mechanism could
+        achieve; the resulting schedule is marked non-strict), or
+        ``"none"``.  Ignored when *spoliation* is ``False``.
+    service_order:
+        Which class of simultaneously idle workers is served first.  The
+        paper leaves this choice free ("select an idle worker"); GPUs
+        first is the natural choice for runtime systems (and the one that
+        realises the worst-case constructions of Theorems 8, 11 and 14).
+    compute_ns:
+        Also compute :math:`S_{HP}^{NS}` (a second, spoliation-free run)
+        so the result carries both schedules.  Disable for speed when
+        only the final makespan matters.
+
+    Returns
+    -------
+    HeteroPrioResult
+        The final schedule, the no-spoliation schedule, the first-idle
+        instant and the chronological list of spoliations.
+    """
+    if platform.num_cpus == 0 and platform.num_gpus == 0:
+        raise ValueError("platform has no workers")
+    if len(instance) == 0:
+        empty = Schedule(platform)
+        return HeteroPrioResult(schedule=empty, ns_schedule=Schedule(platform), t_first_idle=0.0)
+
+    mode: MigrationMode = migration if spoliation else "none"
+    if mode not in ("spoliation", "preemption", "none"):
+        raise ValueError(f"unknown migration mode {mode!r}")
+    schedule, spoliations, t_first_idle = _reference_heteroprio_run(instance, platform, mode, service_order)
+    if compute_ns:
+        if mode != "none":
+            ns_schedule, _, ns_first_idle = _reference_heteroprio_run(instance, platform, "none", service_order)
+        else:
+            ns_schedule, ns_first_idle = schedule, t_first_idle
+    else:
+        ns_schedule, ns_first_idle = Schedule(platform), t_first_idle
+    return HeteroPrioResult(
+        schedule=schedule,
+        ns_schedule=ns_schedule,
+        t_first_idle=ns_first_idle,
+        spoliations=spoliations,
+    )
+
+
+def _reference_worker_service_key(order: str) -> Callable[[Worker], tuple[int, int]]:
+    def key(worker: Worker) -> tuple[int, int]:
+        gpu_rank = 0 if worker.kind is ResourceKind.GPU else 1
+        if order == "cpu_first":
+            gpu_rank = 1 - gpu_rank
+        return (gpu_rank, worker.index)
+
+    return key
+
+
+def _reference_heteroprio_run(
+    instance: Instance,
+    platform: Platform,
+    migration: MigrationMode,
+    service_order: str,
+) -> tuple[Schedule, list[SpoliationEvent], float]:
+    """Discrete-event execution of Algorithm 1.
+
+    Uses the same incremental hot-path layout as the DAG simulator
+    (:mod:`repro.simulator.runtime`): workers are dense integer slots so
+    the loop never hashes ``Worker`` dataclasses, the idle set is a flag
+    array walked in a precomputed service order, per-task times are
+    flattened up front, and the affinity queue is the O(log n)
+    double-ended heap popping in exactly the order of the sorted list it
+    replaced (``tests/test_differential_simcore.py`` pins the whole loop
+    event-for-event against the pre-optimization implementation).
+    """
+    # Lazy import: the online-policy package imports this module at load
+    # time, so a top-level import would be circular.
+    from repro.schedulers.online.ready_queue import DualEndedTaskQueue
+
+    # The double-ended affinity queue Q: pop_min is the CPU end (least
+    # accelerated), pop_max the GPU end.
+    queue: DualEndedTaskQueue[Task] = DualEndedTaskQueue()
+    queue.extend([(_queue_key(t), t) for t in instance])
+    # Preempted tasks complete in several partial placements, so exact
+    # per-placement durations cannot be enforced.
+    schedule = Schedule(platform, strict=(migration != "preemption"))
+    spoliations: list[SpoliationEvent] = []
+
+    # Slots are numbered in service order, so a plain integer sort of the
+    # idle set reproduces the service-order walk of the old settle().
+    service_key = _reference_worker_service_key(service_order)
+    workers: tuple[Worker, ...] = tuple(sorted(platform.workers(), key=service_key))
+    n_workers = len(workers)
+    # Index into the per-task (cpu_time, gpu_time) pair for each slot.
+    time_index = tuple(
+        1 if w.kind is ResourceKind.GPU else 0 for w in workers
+    )
+    task_times = {t: (t.cpu_time, t.gpu_time) for t in instance}
+
+    running: list[_Running | None] = [None] * n_workers
+    idle = set(range(n_workers))
+    remaining = len(instance)
+    t_first_idle: float | None = None
+
+    # Event heap: (time, sequence, slot, generation).  The generation
+    # counter invalidates completion events of spoliated executions.
+    events: list[tuple[float, int, int, int]] = []
+    seq = itertools.count()
+    generations = [0] * n_workers
+
+    def start_task(task: Task, slot: int, now: float, fraction: float = 1.0) -> None:
+        end = now + fraction * task_times[task][time_index[slot]]
+        gen = generations[slot] + 1
+        generations[slot] = gen
+        running[slot] = _Running(task=task, worker=workers[slot], start=now,
+                                 end=end, generation=gen, fraction=fraction)
+        idle.discard(slot)
+        heapq.heappush(events, (end, next(seq), slot, gen))
+
+    def try_assign(slot: int, now: float) -> bool:
+        """Give the worker in *slot* a task from the queue, or spoliate."""
+        nonlocal t_first_idle
+        if queue:
+            task = queue.pop_max() if time_index[slot] else queue.pop_min()
+            start_task(task, slot, now)
+            return True
+        if t_first_idle is None:
+            t_first_idle = now
+        if migration == "none":
+            return False
+        # Migration attempt: victims on the other class, by decreasing
+        # expected completion time, ties broken by higher priority.
+        other_index = 1 - time_index[slot]
+        victims = [
+            (vslot, r)
+            for vslot, r in enumerate(running)
+            if r is not None and time_index[vslot] == other_index
+        ]
+        victims.sort(key=lambda vr: (-vr[1].end, -vr[1].task.priority, vr[1].task.uid))
+        for vslot, victim in victims:
+            if migration == "preemption":
+                # Progress carries over: only the unfinished fraction of
+                # the task must run on the new worker.
+                done_share = (now - victim.start) / (victim.end - victim.start)
+                fraction = victim.fraction * (1.0 - done_share)
+            else:
+                fraction = 1.0  # spoliation: progress is lost
+            new_end = now + fraction * task_times[victim.task][time_index[slot]]
+            if new_end < victim.end - TIME_EPS:
+                schedule.add(victim.task, victim.worker, victim.start, end=now, aborted=True)
+                running[vslot] = None
+                idle.add(vslot)
+                generations[vslot] += 1  # cancel its completion event
+                spoliations.append(
+                    SpoliationEvent(
+                        task=victim.task,
+                        victim_worker=victim.worker,
+                        new_worker=workers[slot],
+                        abort_time=now,
+                        old_completion=victim.end,
+                        new_completion=new_end,
+                    )
+                )
+                start_task(victim.task, slot, now, fraction)
+                return True
+        return False
+
+    def settle(now: float) -> None:
+        """Serve idle workers until no further action is possible."""
+        progress = True
+        while progress:
+            progress = False
+            for slot in sorted(idle):
+                if slot in idle and try_assign(slot, now):
+                    progress = True
+
+    settle(0.0)
+    while remaining > 0:
+        if not events:  # pragma: no cover - defensive; cannot happen
+            raise RuntimeError("HeteroPrio stalled with unfinished tasks")
+        time, _, slot, gen = heapq.heappop(events)
+        if generations[slot] != gen:
+            continue  # stale event: the execution was spoliated
+        record = running[slot]
+        running[slot] = None
+        schedule.add(record.task, record.worker, record.start, end=record.end)
+        remaining -= 1
+        idle.add(slot)
+        # Batch all completions at the same instant before re-dispatching,
+        # so simultaneous finishers see a consistent queue state.
+        while events and events[0][0] <= time + TIME_EPS:
+            time2, _, slot2, gen2 = heapq.heappop(events)
+            if generations[slot2] != gen2:
+                continue
+            record2 = running[slot2]
+            running[slot2] = None
+            schedule.add(record2.task, record2.worker, record2.start, end=record2.end)
+            remaining -= 1
+            idle.add(slot2)
+        if remaining > 0:
+            settle(time)
+
+    if t_first_idle is None:
+        # Every worker was busy continuously until its final completion:
+        # the first idle instant is the earliest of those final completions.
+        t_first_idle = min(
+            max((p.end for p in schedule.worker_timeline(w)), default=0.0)
+            for w in platform.workers()
+        )
+    return schedule, spoliations, t_first_idle

@@ -444,3 +444,86 @@ class TestPoolTeardown:
             run_campaign(small_specs()[:4], jobs=2, cache=ResultCache(tmp_path))
         assert excinfo.traceback
         assert multiprocessing.active_children() == []
+
+
+class TestFullDisk:
+    """ENOSPC from a cache write inside ``run_campaign`` ends cleanly.
+
+    The campaign raises the ``OSError`` (which names the entry), leaves
+    no ``.tmp-*`` file and no live worker, stores nothing that reads as a
+    hit, and a rerun on a disk with room recomputes the same payloads.
+    """
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("suffix", [".json", ".npz"], ids=["results", "graphs"])
+    def test_enospc_ends_cleanly_and_a_rerun_recomputes(
+        self, tmp_path, monkeypatch, suffix, jobs
+    ):
+        import errno
+        import multiprocessing
+        import os
+        from pathlib import Path
+
+        specs = small_specs()[:4]
+        real_replace = os.replace
+
+        def full_disk(src, dst, *args, **kwargs):
+            # Result entries are .json and graph entries .npz; the run
+            # manifest is never reached.
+            if Path(dst).suffix == suffix:
+                raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+            return real_replace(src, dst, *args, **kwargs)
+
+        # Forked workers inherit the patch, so graph writes fail there too.
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError) as excinfo:
+            run_campaign(specs, jobs=jobs, cache=ResultCache(tmp_path))
+        monkeypatch.undo()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert excinfo.value.filename.endswith(suffix)
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+        cache = ResultCache(tmp_path)
+        assert [cache.get(spec) for spec in specs] == [None] * len(specs)
+        rerun = run_campaign(specs, jobs=jobs, cache=cache)
+        assert rerun.stats.executed == len(specs)
+        assert [canon(r.metrics) for r in rerun.records] == [
+            canon(execute_spec(spec)) for spec in specs
+        ]
+
+    def test_a_worker_stopped_mid_write_removes_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        """One worker hits ENOSPC while the other is inside a graph write.
+
+        The teardown stops the second worker in the middle of its write;
+        it must still remove its temp file.
+        """
+        import errno
+        import multiprocessing
+        import os
+        import time
+        from pathlib import Path
+
+        flag = tmp_path / "slow-writer"
+        real_replace = os.replace
+
+        def slow_or_full(src, dst, *args, **kwargs):
+            if Path(dst).suffix == ".npz":
+                try:
+                    os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+                time.sleep(30)  # the first writer is still writing at teardown
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", slow_or_full)
+        started = time.perf_counter()
+        with pytest.raises(OSError) as excinfo:
+            run_campaign(small_specs()[:4], jobs=2, cache=ResultCache(tmp_path / "cache"))
+        monkeypatch.undo()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert time.perf_counter() - started < 25
+        assert multiprocessing.active_children() == []
+        assert not list(tmp_path.rglob(".tmp-*"))

@@ -235,15 +235,3 @@ class TestHypothesisInvariants:
         result = heteroprio_schedule(inst, platform, compute_ns=False)
         assert result.makespan >= area_bound(inst, platform).value - 1e-9
 
-
-class TestServiceOrder:
-    def test_cpu_first_changes_tie_winner(self):
-        platform = Platform(num_cpus=1, num_gpus=1)
-        # One task, equal durations: whoever is served first takes it.
-        t = Task(cpu_time=1.0, gpu_time=1.0)
-        gpu_first = heteroprio_schedule(Instance([t]), platform)
-        cpu_first = heteroprio_schedule(
-            Instance([t]), platform, service_order="cpu_first"
-        )
-        assert gpu_first.schedule.placement_of(t).worker.kind is ResourceKind.GPU
-        assert cpu_first.schedule.placement_of(t).worker.kind is ResourceKind.CPU

@@ -21,6 +21,7 @@ from repro.schedulers.online import (
 from repro.simulator import RuntimeSimulator, simulate
 
 from conftest import assert_precedence_respected, assert_schedule_consistent
+from reference_runtime import reference_independent_heteroprio
 
 
 def _t(name: str, p: float = 1.0, q: float = 1.0, priority: float = 0.0) -> Task:
@@ -128,8 +129,7 @@ class TestHeteroPrioDagPolicy:
     @settings(max_examples=50, deadline=None)
     def test_differential_vs_core_with_spoliation(self, seed, n_tasks, cpus, gpus):
         """On edge-free graphs, the DAG policy with Algorithm 1's victim
-        rule replays the proof-grade independent implementation exactly."""
-        from repro.core.heteroprio import heteroprio_schedule
+        rule replays the frozen independent implementation exactly."""
         from repro.core.task import Instance
 
         rng = np.random.default_rng(seed)
@@ -146,14 +146,14 @@ class TestHeteroPrioDagPolicy:
         via_policy = simulate(
             g, platform, HeteroPrioPolicy(victim_rule="completion")
         )
-        via_core = heteroprio_schedule(Instance(tasks), platform, compute_ns=False)
-        assert via_policy.makespan == pytest.approx(via_core.makespan, rel=1e-12)
-        assert len(via_policy.aborted_placements()) == len(via_core.spoliations)
+        via_core, spoliations = reference_independent_heteroprio(
+            Instance(tasks), platform
+        )
+        assert via_policy.makespan == via_core.makespan
+        assert len(via_policy.aborted_placements()) == spoliations
 
     def test_matches_independent_implementation_without_spoliation(self, rng):
         """On an edge-free graph, the DAG policy reproduces S_NS."""
-        from repro.core.heteroprio import heteroprio_schedule
-
         g = TaskGraph("free")
         tasks = [
             Task(cpu_time=float(p), gpu_time=float(q), name=f"f{i}")
@@ -165,10 +165,25 @@ class TestHeteroPrioDagPolicy:
             g.add_task(t)
         platform = Platform(2, 2)
         via_runtime = simulate(g, platform, HeteroPrioPolicy(spoliation=False))
-        via_core = heteroprio_schedule(
+        via_core, _ = reference_independent_heteroprio(
             g.to_instance(), platform, spoliation=False
         )
-        assert via_runtime.makespan == pytest.approx(via_core.ns_schedule.makespan)
+        assert via_runtime.makespan == via_core.makespan
+
+    def test_preemption_in_dag_mode_runs_unfinished_shares(self, rng):
+        g = layered_random_graph(4, 8, rng, accel_range=(5.0, 50.0))
+        platform = Platform(num_cpus=6, num_gpus=1)
+        s = simulate(g, platform, HeteroPrioPolicy(migration="preemption"))
+        assert s.aborted_placements()
+        assert s.strict is False
+        assert_schedule_consistent(s)
+        assert_precedence_respected(s, g)
+        for aborted in s.aborted_placements():
+            restart = s.placement_of(aborted.task)
+            assert restart.start == aborted.end
+            # The restart keeps the victim's progress: it runs less than
+            # the whole task on its worker.
+            assert restart.duration < restart.full_duration
 
     def test_spoliated_dag_schedule_validates(self, rng):
         g = layered_random_graph(4, 8, rng, accel_range=(5.0, 50.0))
