@@ -4,7 +4,8 @@
 """The ``repro bench`` perf-regression harness.
 
 Benchmarks the simulator hot path on the paper's figure workloads and
-emits a machine-readable report (``BENCH_simcore.json``):
+prints a report; ``--json FILE`` also writes it as JSON (the committed
+baseline is ``BENCH_simcore.json``):
 
 * **fig7 cases** run one factorization DAG (cholesky N=20, qr N=14,
   lu N=14 — all >= 1000 tasks) through :class:`RuntimeSimulator` under
@@ -747,7 +748,16 @@ def main(
     baseline: str | None = None,
     threshold: float = 0.30,
 ) -> int:
-    """The ``repro bench`` subcommand body; returns an exit code."""
+    """The ``repro bench`` subcommand body; returns an exit code.
+
+    The baseline is read before anything is written, so a run whose
+    ``out`` names the baseline file is still gated against the file's
+    previous content, never against its own report.
+    """
+    base = None
+    if baseline:
+        with open(baseline) as fh:
+            base = json.load(fh)
     report = run_bench(quick=quick, batch=batch)
     print(render(report))
     if out:
@@ -755,9 +765,7 @@ def main(
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"[bench] report written to {out}")
-    if baseline:
-        with open(baseline) as fh:
-            base = json.load(fh)
+    if base is not None:
         # A baseline may carry case names this run did not produce (an
         # older suite layout, a renamed case, a full report checked
         # against a --quick run).  Those are warned about and skipped —

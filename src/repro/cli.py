@@ -35,7 +35,8 @@ the root cache, every ``repro serve`` tenant cache under it and the
 compiled-graph store.
 
 ``bench`` runs the simulator perf harness (:mod:`repro.bench`) and
-writes ``BENCH_simcore.json``; ``--quick`` selects the CI smoke
+prints its report; ``--json FILE`` also writes it (the committed
+baseline is ``BENCH_simcore.json``); ``--quick`` selects the CI smoke
 subset, ``--baseline FILE`` fails the run when events/sec regresses
 more than ``--threshold`` (default 30%) below a committed report.
 Any invocation accepts ``--profile`` to wrap the run in ``cProfile``
@@ -255,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--json",
         metavar="FILE",
-        default="BENCH_simcore.json",
-        help="bench: write the JSON report here (default: BENCH_simcore.json; "
-        "'-' to skip writing)",
+        default=None,
+        help="bench: also write the JSON report here (default: print only; "
+        "'-' also skips writing)",
     )
     bench.add_argument(
         "--baseline",
@@ -507,7 +508,7 @@ def _run_bench(args: argparse.Namespace) -> int:
     return bench.main(
         quick=args.quick,
         batch=args.batch,
-        out=None if args.json == "-" else args.json,
+        out=None if args.json in (None, "-") else args.json,
         baseline=args.baseline,
         threshold=args.threshold,
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,61 @@ def test_cli_bench_baseline_check(tmp_path, capsys):
         cli_main(["bench", "--quick", "--json", "-", "--baseline", str(baseline)]) == 1
     )
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def _inflated(report_bytes: bytes) -> bytes:
+    """*report_bytes* with every events/sec raised 100x: beyond any run."""
+    report = json.loads(report_bytes)
+    for payload in report["cases"].values():
+        if "events_per_sec" in payload:
+            payload["events_per_sec"] *= 100.0
+    return json.dumps(report).encode()
+
+
+def test_cli_bench_baseline_is_never_overwritten_or_self_compared(
+    tmp_path, monkeypatch, capsys
+):
+    """Without ``--json`` no report file is written, so a run gated on a
+    baseline -- even one named ``BENCH_simcore.json`` in the working
+    directory -- leaves every file as it was and is compared with the
+    file's content, never with its own report."""
+    monkeypatch.chdir(tmp_path)
+    committed = (
+        Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
+    ).read_bytes()
+    default = tmp_path / "BENCH_simcore.json"
+    default.write_bytes(committed)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_bytes(_inflated(committed))
+    assert cli_main(["bench", "--quick", "--baseline", str(doctored)]) == 1
+    assert "REGRESSION" in capsys.readouterr().out
+    assert doctored.read_bytes() == _inflated(committed)
+    assert default.read_bytes() == committed
+    default.write_bytes(_inflated(committed))
+    assert cli_main(["bench", "--quick", "--baseline", "BENCH_simcore.json"]) == 1
+    assert "REGRESSION" in capsys.readouterr().out
+    assert default.read_bytes() == _inflated(committed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_simcore.json",
+        "doctored.json",
+    ]
+
+
+def test_cli_bench_baseline_is_read_before_the_report_is_written(tmp_path, capsys):
+    # --json and --baseline naming one file: the run is gated against
+    # the file's old content, then the file holds the new report.
+    path = tmp_path / "baseline.json"
+    assert cli_main(["bench", "--quick", "--json", str(path)]) == 0
+    path.write_bytes(_inflated(path.read_bytes()))
+    capsys.readouterr()
+    assert (
+        cli_main(["bench", "--quick", "--json", str(path), "--baseline", str(path)])
+        == 1
+    )
+    assert "REGRESSION" in capsys.readouterr().out
+    report = json.loads(path.read_text())
+    assert report["quick"] is True
+    assert set(report["cases"]) == {c.case_id for c in bench.QUICK_CASES}
 
 
 def test_cli_bench_baseline_unknown_cases_warn_and_skip(tmp_path, capsys):

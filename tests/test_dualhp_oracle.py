@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itertools
+
 import reference_runtime
 from reference_runtime import (
     ReferenceDualHPPolicy,
@@ -31,11 +33,15 @@ from repro.campaign.executor import LOCKSTEP_MIN_ROWS
 from repro.core.platform import Platform
 from repro.core.task import Instance, Task
 from repro.dag.graph import TaskGraph
+from repro.dag.priorities import assign_priorities
+from repro.dag.random_graphs import layered_random_compiled, random_chain_compiled
+from repro.experiments.workloads import COMPILED_FACTORIZATIONS, FACTORIZATIONS
 from repro.schedulers import dualhp
 from repro.schedulers.batch import batch_dualhp_schedule
 from repro.schedulers.online import DualHPPolicy
 from repro.schedulers.online import dualhp as online_dualhp
 from repro.simulator.runtime import simulate
+from repro.timing.model import TimingModel
 
 # -- strategies -----------------------------------------------------------------
 
@@ -180,6 +186,220 @@ def test_online_doubling_path_matches_oracle(monkeypatch):
     ]
     assert placements(new) == placements(ref)
     assert new.makespan == 10.0
+
+
+def test_online_traced_doubling_path_matches_oracle(monkeypatch):
+    # The same GPU-only node with two such tasks: one run of two, so the
+    # guesses are answered from traces.  The seed guess is the pool's
+    # summed min-times, 2, and the run stays forced onto the absent CPUs
+    # at 2, 4 and 8.
+    guesses: list[tuple[float, bool]] = []
+    pack = online_dualhp._Traces.pack
+
+    def spy(self, lam):
+        ok = pack(self, lam)
+        guesses.append((lam, ok))
+        return ok
+
+    monkeypatch.setattr(online_dualhp._Traces, "pack", spy)
+    monkeypatch.setattr(online_dualhp, "_pack", None)  # never reached
+    graph = TaskGraph("doubling")
+    graph.add_task(Task(cpu_time=1.0, gpu_time=10.0))
+    graph.add_task(Task(cpu_time=1.0, gpu_time=10.0))
+    platform = Platform(0, 1)
+    new = simulate(graph, platform, DualHPPolicy())
+    ref = simulate(graph, platform, ReferenceDualHPPolicy())
+    assert guesses[:4] == [(2.0, False), (4.0, False), (8.0, False), (16.0, True)]
+    assert placements(new) == placements(ref)
+    assert new.makespan == 20.0
+
+
+# -- online: run structure --------------------------------------------------------
+#
+# ``DualHPPolicy`` answers a guess from per-run traces when the pool has
+# few, long runs of equal ``(p, q)``, and packs it task by task
+# otherwise.  Factorization pools take the first side, noisy and random
+# graphs the second; the pair-pool strategy reaches long flexible runs
+# that split at the limit.
+
+ORACLE_PLATFORMS = [(20, 4), (4, 1), (1, 1), (3, 0), (0, 2), (2, 3)]
+RANKINGS = ("avg", "min", "fifo")
+
+
+def _match_every_ranking(graph, platform: Platform) -> None:
+    for ranking in RANKINGS:
+        assign_priorities(graph, platform, ranking)
+        new = simulate(graph, platform, DualHPPolicy())
+        ref = simulate(graph, platform, ReferenceDualHPPolicy())
+        assert placements(new) == placements(ref), ranking
+
+
+@pytest.fixture
+def packer_calls(monkeypatch):
+    """Count the guesses each side answers."""
+    calls = {"traces": 0, "tasks": 0}
+    traced, per_task = online_dualhp._Traces.pack, online_dualhp._pack
+
+    def count_traced(self, lam):
+        calls["traces"] += 1
+        return traced(self, lam)
+
+    def count_per_task(*args):
+        calls["tasks"] += 1
+        return per_task(*args)
+
+    monkeypatch.setattr(online_dualhp._Traces, "pack", count_traced)
+    monkeypatch.setattr(online_dualhp, "_pack", count_per_task)
+    return calls
+
+
+@pytest.mark.parametrize("workload", sorted(COMPILED_FACTORIZATIONS))
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_online_factorizations_match_oracle(workload, size, packer_calls):
+    graph = COMPILED_FACTORIZATIONS[workload](size)
+    for shape in ORACLE_PLATFORMS:
+        _match_every_ranking(graph, Platform(*shape))
+    # Pools of a few kernel-type runs are answered from traces; small
+    # pools of one-task runs (a lone POTRF, say) are packed task by task.
+    assert packer_calls["traces"] > 0 and packer_calls["tasks"] > 0
+
+
+@pytest.mark.parametrize("workload,seed", [("cholesky", 1), ("qr", 2)])
+def test_online_noisy_factorizations_match_oracle(workload, seed, packer_calls):
+    timing = TimingModel.for_factorization(
+        workload, noise=0.15, rng=np.random.default_rng(seed)
+    )
+    graph = FACTORIZATIONS[workload](6, timing)
+    for shape in [(20, 4), (1, 1), (2, 3)]:
+        _match_every_ranking(graph, Platform(*shape))
+    # Every (p, q) differs, so every pool is packed task by task.
+    assert packer_calls["tasks"] > 0 and packer_calls["traces"] == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_online_random_graphs_match_oracle(seed):
+    layered = layered_random_compiled(5, 6, np.random.default_rng(seed))
+    chains = random_chain_compiled(6, 5, np.random.default_rng(100 + seed))
+    for graph in (layered, chains):
+        for shape in [(20, 4), (4, 1), (0, 2)]:
+            _match_every_ranking(graph, Platform(*shape))
+
+
+@st.composite
+def pair_graphs(draw) -> TaskGraph:
+    """20-60 tasks drawn from 2-4 ``(p, q)`` pairs, with sparse edges.
+
+    Durations come from a small grid, so pairs share acceleration
+    factors (runs interleave by priority) and ends tie with the limit.
+    """
+    grid = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0])
+    pairs = draw(st.lists(st.tuples(grid, grid), min_size=2, max_size=4, unique=True))
+    picks = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), priorities), min_size=20, max_size=60
+        )
+    )
+    graph = TaskGraph("pairs")
+    tasks = [Task(cpu_time=p, gpu_time=q, priority=w) for (p, q), w in picks]
+    for task in tasks:
+        graph.add_task(task)
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(tasks) - 1), st.integers(0, len(tasks) - 1)),
+            max_size=12,
+        )
+    )
+    for i, j in edges:
+        if i < j:
+            graph.add_edge(tasks[i], tasks[j])
+    return graph
+
+
+@given(graph=pair_graphs(), platform=platforms)
+@settings(max_examples=60, deadline=None)
+def test_online_pair_pools_match_oracle(graph, platform):
+    new = simulate(graph, platform, DualHPPolicy())
+    ref = simulate(graph, platform, ReferenceDualHPPolicy())
+    assert placements(new) == placements(ref)
+
+
+def _runs_and_triples(pairs_and_counts):
+    runs = [(p, q, c) for (p, q), c in pairs_and_counts]
+    triples = [
+        (k, p, q)
+        for k, (p, q) in enumerate(
+            itertools.chain.from_iterable([(p, q)] * c for p, q, c in runs)
+        )
+    ]
+    return runs, triples
+
+
+def _flags_from_counts(runs, counts) -> list[bool]:
+    return [k < j for (_, _, c), j in zip(runs, counts) for k in range(c)]
+
+
+@given(
+    pairs_and_counts=st.lists(
+        st.tuples(
+            st.tuples(st.integers(1, 8).map(float), st.integers(1, 8).map(float)),
+            st.integers(1, 12),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    cpus=st.lists(st.integers(0, 6).map(float), max_size=4),
+    gpus=st.lists(st.integers(0, 6).map(float), max_size=3),
+    doubled=st.integers(1, 80),
+)
+@settings(max_examples=300, deadline=None)
+def test_traces_answer_every_guess_like_pack(pairs_and_counts, cpus, gpus, doubled):
+    # Integer durations and loads make every end an integer, and 2*lam
+    # runs over the integers, so the limit often equals an end exactly.
+    if not cpus and not gpus:
+        gpus = [0.0]
+    lam = doubled / 2.0
+    runs, triples = _runs_and_triples(pairs_and_counts)
+    cpus, gpus = sorted(cpus), sorted(gpus)
+    traces = online_dualhp._Traces(runs, cpus, gpus)
+    flags = [False] * len(triples)
+    ok = online_dualhp._pack(triples, lam, cpus, gpus, flags)
+    assert traces.pack(lam) == ok
+    if ok:
+        assert _flags_from_counts(runs, traces.counts) == flags
+
+
+def test_traces_place_forced_cpu_runs_before_the_overflow():
+    # lam = 2 on CPU loads 0, 2, 3 and one idle GPU.  The flexible run
+    # (2, 2) x 4 comes first in acceleration order; the GPU takes two
+    # (ends 2 and 4) and two overflow.  The forced run (1, 3) x 3 fills
+    # the CPUs to 2, 2, 3 first, so the second overflow task ends at 5:
+    # infeasible.  Overflow first would end every CPU at 4.
+    runs, triples = _runs_and_triples([((2.0, 2.0), 4), ((1.0, 3.0), 3)])
+    cpus, gpus = [0.0, 2.0, 3.0], [0.0]
+    assert not online_dualhp._pack(triples, 2.0, cpus, gpus)
+    assert not online_dualhp._Traces(runs, cpus, gpus).pack(2.0)
+    assert online_dualhp._Traces(runs, cpus, gpus).pack(2.5)
+
+
+def test_traces_place_a_task_whose_end_equals_the_limit():
+    # One CPU, one GPU, six tasks (p, q) = (2, 1) and lam = 2: the GPU
+    # ends are 1, 2, ..., 6 and the limit 2 * lam = 4 is the fourth.
+    # That task fits, so the two left over end at 2 and 4 on the CPU and
+    # the guess is feasible; a strict comparison would overflow three
+    # and reject it.
+    runs, triples = _runs_and_triples([((2.0, 1.0), 6)])
+    traces = online_dualhp._Traces(runs, [0.0], [0.0])
+    assert traces.pack(2.0)
+    assert traces.counts == [4]
+    flags = [False] * 6
+    assert online_dualhp._pack(triples, 2.0, [0.0], [0.0], flags)
+    assert flags == [True] * 4 + [False] * 2
+    oracle = ReferenceDualHPPolicy()
+    oracle.prepare(Platform(1, 1))
+    tasks = [Task(cpu_time=2.0, gpu_time=1.0) for _ in range(6)]
+    assignment = oracle._try(tasks, 2.0, [0.0], [0.0])
+    assert [assignment[t].name for t in tasks] == ["GPU"] * 4 + ["CPU"] * 2
+    assert not traces.pack(np.nextafter(2.0, 0.0))
 
 
 # -- lockstep batch ---------------------------------------------------------------

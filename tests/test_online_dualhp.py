@@ -23,6 +23,12 @@ def _t(name: str, p: float, q: float, priority: float = 0.0) -> Task:
     return Task(cpu_time=p, gpu_time=q, name=name, priority=priority)
 
 
+def _home(policy: DualHPPolicy, task: Task) -> ResourceKind:
+    """The class whose queue holds *task* after the last reassignment."""
+    assert (task in policy._cpu_queue) != (task in policy._gpu_queue)
+    return ResourceKind.CPU if task in policy._cpu_queue else ResourceKind.GPU
+
+
 class TestPoolMechanics:
     def test_empty_pool_yields_nothing(self):
         policy = _policy(Platform(1, 1))
@@ -83,21 +89,11 @@ class TestPoolMechanics:
         middling = _t("mid", p=2.0, q=1.5)
         policy.tasks_ready([middling], 0.0)
         policy._reassign(0.0, {})
-        first_home = [
-            kind
-            for kind, queue in policy._class_queues.items()
-            if middling in queue
-        ][0]
-        assert first_home is ResourceKind.GPU
+        assert _home(policy, middling) is ResourceKind.GPU
         flood = [_t(f"f{i}", p=30.0, q=1.0) for i in range(8)]
         policy.tasks_ready(flood, 0.0)
         policy._reassign(0.0, {})
-        new_home = [
-            kind
-            for kind, queue in policy._class_queues.items()
-            if middling in queue
-        ][0]
-        assert new_home is ResourceKind.CPU
+        assert _home(policy, middling) is ResourceKind.CPU
 
 
 class TestEndToEnd:
