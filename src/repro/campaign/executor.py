@@ -376,19 +376,17 @@ def metrics_to_run_metrics(metrics: dict) -> RunMetrics:
 #: repeats, 2-vCPU VM):
 #:
 #:     64 tasks      B=1   B=2   B=4   B=8  B=16  B=32  B=64
-#:     heteroprio   4.56  2.46  1.69  1.01  0.71  0.52  0.41
-#:     heft         1.82  1.10  0.76  0.56  0.46  0.45  0.40
-#:     dualhp      10.08  6.69  4.26  2.57  1.68  1.12  0.85
+#:     heteroprio   5.05  2.87  1.72  1.06  0.77  0.53  0.44
+#:     heft         1.80  1.11  0.75  0.57  0.47  0.42  0.39
+#:     dualhp       6.35  3.87  2.50  1.64  1.07  0.78  0.62
 #:     256 tasks
-#:     heteroprio   7.10  4.16  2.24  1.29  0.71  0.69  0.48
-#:     heft         2.42  1.44  0.90  0.62  0.51  0.39  0.36
-#:     dualhp      12.75  6.63  3.37  2.03  1.22  0.76  0.58
+#:     heteroprio   6.38  3.42  1.85  1.10  0.68  0.50  0.39
+#:     heft         2.49  1.40  0.88  0.59  0.47  0.40  0.36
+#:     dualhp       5.50  2.93  1.72  1.04  0.70  0.49  0.39
 #:
-#: 32 rows is the smallest size tried at which HeteroPrio and HEFT win
-#: on both sizes and DualHP wins at 256 tasks; at 64 tasks DualHP's
-#: B=32 cell is break-even within its run-to-run spread (0.95-2.08).
-#: Serve's 4-row groups run scalar, the 64/128-row seed sweeps in
-#: lockstep.
+#: 32 rows is the smallest size tried at which all three win on both
+#: sizes; at 16 rows DualHP still loses on 64 tasks.  Serve's 4-row
+#: groups run scalar, the 64/128-row seed sweeps in lockstep.
 LOCKSTEP_MIN_ROWS = 32
 
 #: Lockstep entries of the independent-mode (Figure 6) schedulers.

@@ -314,8 +314,8 @@ class _BatchDualHPTrier:
 
     def try_rows(
         self, rs: np.ndarray, lam: np.ndarray, record: "_DualHPRecorder | None" = None
-    ) -> np.ndarray:
-        """Feasibility of guess ``lam[j]`` for row ``rs[j]``, vectorized.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feasibility of guess ``lam[j]`` for row ``rs[j]``, and its decision range.
 
         Mirrors ``dualhp_try`` phase for phase: forced-GPU and forced-CPU
         packs (any overflow is infeasible), the acceleration-ordered
@@ -324,6 +324,16 @@ class _BatchDualHPTrier:
         members to the front of its order (rows already infeasible have
         none), so it steps only as far as its longest row.  With
         *record*, placements are logged in the scalar pack order.
+
+        Only two kinds of comparison read the guess: the forced split
+        ``d > lam`` over the row's durations, and each member's fit
+        ``end <= 2.0 * lam``.  Every other step is a function of their
+        outcomes, so any guess that gives every comparison the same
+        outcome repeats the pack and its answer.  Column ``j`` of the
+        returned ``(4, R)`` range holds ``split_lo``/``split_hi``, the
+        largest duration ``<= lam`` and the smallest ``> lam``, and
+        ``end_lo``/``end_hi``, the largest end that fit and the smallest
+        that did not: :func:`_inside` tests a guess against them.
         """
         R = rs.size
         ar = np.arange(R)
@@ -336,6 +346,16 @@ class _BatchDualHPTrier:
 
         forced_gpu = cpu > lam_col
         forced_cpu = gpu > lam_col
+        split_lo = np.maximum(
+            np.where(forced_gpu, -np.inf, cpu).max(axis=1),
+            np.where(forced_cpu, -np.inf, gpu).max(axis=1),
+        )
+        split_hi = np.minimum(
+            np.where(forced_gpu, cpu, np.inf).min(axis=1),
+            np.where(forced_cpu, gpu, np.inf).min(axis=1),
+        )
+        end_lo = np.full(R, -np.inf)
+        end_hi = np.full(R, np.inf)
         both = forced_gpu & forced_cpu
         forced_gpu &= ~both
         forced_cpu &= ~both
@@ -353,6 +373,7 @@ class _BatchDualHPTrier:
             # with itself and their outcome is masked out by *valid*.
             d = np.where(valid, np.take_along_axis(dur, tasks, axis=1), 0.0)
             fits = np.empty(tasks.shape, dtype=bool)
+            ends = np.empty(tasks.shape)
             flat = loads.reshape(-1)  # a view: writes land in *loads*
             base = ar * loads.shape[1]
             for k in range(tasks.shape[1]):
@@ -363,13 +384,22 @@ class _BatchDualHPTrier:
                 ok = new <= limit
                 flat.put(at, np.where(ok, new, old))
                 fits[:, k] = ok
+                ends[:, k] = new
                 if record is not None:
                     done = np.flatnonzero(ok & valid[:, k])
                     record.log(
                         rs[done], loads is gpu_loads, slot[done],
                         tasks[done, k], old[done], d[done, k],
                     )
-            rows, cols = np.nonzero(valid & ~fits)
+            # Only members' ends bound the range: an off-member slot
+            # leaves its load as it was at any guess, and how many a row
+            # gets depends on the other rows of the call.
+            over = valid & ~fits
+            fit_ends = np.where(valid & fits, ends, -np.inf)
+            np.maximum(end_lo, fit_ends.max(axis=1, initial=-np.inf), out=end_lo)
+            over_ends = np.where(over, ends, np.inf)
+            np.minimum(end_hi, over_ends.min(axis=1, initial=np.inf), out=end_hi)
+            rows, cols = np.nonzero(over)
             return rows, tasks[rows, cols]
 
         infeasible[pack(gpu_loads, forced_gpu, po, gpu)[0]] = True
@@ -379,7 +409,19 @@ class _BatchDualHPTrier:
         leftover[pack(gpu_loads, optional & has_gpu, ao, gpu)] = True
         infeasible |= (leftover & ~has_cpu).any(axis=1)
         infeasible[pack(cpu_loads, leftover, po, cpu)[0]] = True
-        return ~infeasible
+        return ~infeasible, np.stack((split_lo, split_hi, end_lo, end_hi))
+
+
+def _inside(ranges: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Whether guess ``lam[j]`` lies in the decision range ``ranges[:, ..., j]``.
+
+    The ends are compared against ``2.0 * lam``, the limit the pack
+    itself computes, so membership is exact: no halving of an end can
+    round.  A NaN bound holds no guess.
+    """
+    split_lo, split_hi, end_lo, end_hi = ranges
+    limit = 2.0 * lam
+    return (split_lo <= lam) & (lam < split_hi) & (end_lo <= limit) & (limit < end_hi)
 
 
 def _compact(member: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,7 +478,9 @@ def batch_dualhp_schedule(
     seeds from the area and work bounds, same midpoints, same accepted
     guess — and the final schedule replays ``dualhp_try`` at the accepted
     guess.  Rows converge independently; finished rows drop out of the
-    masked iterations.
+    masked iterations.  A midpoint inside the decision range of the row's
+    last feasible or last infeasible pack takes that pack's answer
+    unpacked (see :meth:`_BatchDualHPTrier.try_rows`).
     """
     cpu, gpu = _check_times(cpu_times, gpu_times)
     B, n = cpu.shape
@@ -471,20 +515,38 @@ def batch_dualhp_schedule(
     hi = np.maximum(np.maximum(bound, cpu_avg), np.maximum(gpu_avg, max_min))
 
     trier = _BatchDualHPTrier(cpu, gpu, prio, platforms)
+    # Per row, the decision ranges of its last infeasible (index 0) and
+    # last feasible (index 1) pack; NaN until there is one.
+    held = np.full((4, 2, B), np.nan)
+
+    def pack(rs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        ok, ranges = trier.try_rows(rs, lam)
+        held[:, ok.astype(np.intp), rs] = ranges
+        return ok
+
     rows = np.arange(B)
-    feasible = trier.try_rows(rows, hi)
+    feasible = pack(rows, hi)
     while not feasible.all():  # pragma: no cover - degenerate platforms
         bad = np.flatnonzero(~feasible)
         hi[bad] *= 2.0
-        feasible[bad] = trier.try_rows(bad, hi[bad])
+        feasible[bad] = pack(bad, hi[bad])
     active = (hi - lo) > rtol * np.maximum(hi, 1.0)
     while active.any():
-        rs = np.flatnonzero(active)
-        mid = 0.5 * (lo[rs] + hi[rs])
-        ok = trier.try_rows(rs, mid)
-        lo[rs[~ok]] = mid[~ok]
-        hi[rs[ok]] = mid[ok]
-        active[rs] = (hi[rs] - lo[rs]) > rtol * np.maximum(hi[rs], 1.0)
+        mid = 0.5 * (lo + hi)
+        # A midpoint inside a held range repeats that pack's answer.
+        # Rows step on those answers alone until every active row needs
+        # a real pack; then one call packs them all.
+        known = _inside(held, mid) & active
+        step = known[0] | known[1]
+        ok = known[1]
+        if not step.any():
+            step = active
+            ok = np.zeros(B, dtype=bool)
+            rs = np.flatnonzero(active)
+            ok[rs] = pack(rs, mid[rs])
+        hi = np.where(step & ok, mid, hi)
+        lo = np.where(step & ~ok, mid, lo)
+        active = (hi - lo) > rtol * np.maximum(hi, 1.0)
 
     recorder = _DualHPRecorder(B, n, m_off)
     trier.try_rows(rows, hi, record=recorder)

@@ -22,7 +22,12 @@ import pytest
 from repro.core.heteroprio import heteroprio_schedule
 from repro.core.platform import PAPER_PLATFORM, Platform
 from repro.core.task import Instance, Task
-from repro.schedulers.batch import batch_dualhp_schedule, batch_heft_schedule
+from repro.dag.random_graphs import layered_random_compiled, random_chain_compiled
+from repro.schedulers.batch import (
+    _BatchDualHPTrier,
+    batch_dualhp_schedule,
+    batch_heft_schedule,
+)
 from repro.schedulers.dualhp import dualhp_schedule
 from repro.schedulers.heft import heft_schedule
 from repro.simulator.batch import batch_heteroprio_schedule
@@ -285,6 +290,49 @@ def test_offline_tie_heavy_durations(batch_fn, scalar_fn):
         ref = scalar_fn(Instance(tasks), Platform(3, 2))
         schedule = getattr(ref, "schedule", ref)
         assert_same_schedule(schedule, result.schedule(b, tasks), b)
+
+
+def _sweep_rows(generator, seeds):
+    """``(cpu, gpu)`` of 256-task random rows, built as the seed sweeps build them."""
+    graphs = [generator(16, 16, np.random.default_rng(seed)) for seed in seeds]
+    return (
+        np.stack([graph.cpu_times for graph in graphs]),
+        np.stack([graph.gpu_times for graph in graphs]),
+    )
+
+
+@pytest.mark.parametrize("generator", [layered_random_compiled, random_chain_compiled])
+def test_offline_dualhp_sweep_shape_bit_identical(generator):
+    """A lockstep group of the seed sweeps' shape: 32 rows of 256 tasks."""
+    cpu, gpu = _sweep_rows(generator, range(500, 532))
+    result = batch_dualhp_schedule(cpu, gpu, PAPER_PLATFORM)
+    for b in range(len(cpu)):
+        tasks = [
+            Task(cpu_time=float(p), gpu_time=float(q)) for p, q in zip(cpu[b], gpu[b])
+        ]
+        ref = dualhp_schedule(Instance(tasks), PAPER_PLATFORM)
+        assert ref.lam == float(result.lams[b]), b
+        assert_same_schedule(ref.schedule, result.schedule(b, tasks), b)
+
+
+def test_offline_dualhp_sweep_answers_most_guesses_from_held_ranges(monkeypatch):
+    """Most midpoints repeat an earlier pack's decisions and are not packed.
+
+    Packing every guess takes 37 ``try_rows`` calls on this sweep: the
+    first guess, 35 midpoints and the recording pass.
+    """
+    calls = 0
+    try_rows = _BatchDualHPTrier.try_rows
+
+    def spy(self, rs, lam, record=None):
+        nonlocal calls
+        calls += 1
+        return try_rows(self, rs, lam, record)
+
+    monkeypatch.setattr(_BatchDualHPTrier, "try_rows", spy)
+    cpu, gpu = _sweep_rows(layered_random_compiled, range(128))
+    batch_dualhp_schedule(cpu, gpu, PAPER_PLATFORM)
+    assert calls <= 37 // 2
 
 
 # -- constant tripwires -------------------------------------------------------

@@ -37,7 +37,7 @@ from repro.dag.priorities import assign_priorities
 from repro.dag.random_graphs import layered_random_compiled, random_chain_compiled
 from repro.experiments.workloads import COMPILED_FACTORIZATIONS, FACTORIZATIONS
 from repro.schedulers import dualhp
-from repro.schedulers.batch import batch_dualhp_schedule
+from repro.schedulers.batch import _BatchDualHPTrier, _inside, batch_dualhp_schedule
 from repro.schedulers.online import DualHPPolicy
 from repro.schedulers.online import dualhp as online_dualhp
 from repro.simulator.runtime import simulate
@@ -431,3 +431,90 @@ def test_batch_matches_offline_oracle(rows, data):
         assert float(result.lams[i]) == ref.lam
         assert float(result.makespans[i]) == ref.makespan
         assert placements(result.schedule(i, tasks)) == placements(ref.schedule)
+
+
+@st.composite
+def guesses(draw, durations: np.ndarray) -> float:
+    """A guess for one row: a multiple of its longest task, or half a sum
+    of its durations, where a packed end can equal the limit exactly."""
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0, 1.7, 4.0]))
+        return scale * float(durations.max())
+    picked = draw(st.sets(st.integers(0, durations.size - 1), min_size=1))
+    return 0.5 * sum(float(durations.flat[k]) for k in sorted(picked))
+
+
+def _range_points(data, bounds: np.ndarray, lam: float) -> tuple[list, list]:
+    """Guesses inside a decision range (its finite ends and one drawn
+    between them) and the guesses just outside those ends.
+
+    Every duration here is a normal float, so halving an end is exact.
+    """
+    split_lo, split_hi, end_lo, end_hi = bounds.tolist()
+    lower = max(split_lo, end_lo / 2.0)  # the least guess inside
+    top = min(split_hi, end_hi / 2.0)  # the least guess above the range
+    inside, outside = [], []
+    if np.isfinite(lower):
+        inside.append(lower)
+        outside.append(float(np.nextafter(lower, -np.inf)))
+    if np.isfinite(top):
+        inside.append(float(np.nextafter(top, -np.inf)))
+        outside.append(top)
+    low = lower if np.isfinite(lower) else lam
+    high = inside[-1] if np.isfinite(top) else 4.0 * lam + 1.0
+    inside.append(data.draw(st.floats(low, high), label="inside"))
+    return inside, outside
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_decision_ranges_repeat_their_pack(data):
+    rows = data.draw(st.integers(1, 4), label="rows")
+    n = data.draw(st.integers(1, 10), label="n")
+    scale = data.draw(st.sampled_from([tied, generic, extreme, durations]), label="scale")
+    row_platforms = tuple(data.draw(platforms) for _ in range(rows))
+    cpu = np.array([[data.draw(scale) for _ in range(n)] for _ in range(rows)])
+    gpu = np.array([[data.draw(scale) for _ in range(n)] for _ in range(rows)])
+    prio = np.array([[data.draw(priorities) for _ in range(n)] for _ in range(rows)])
+    lam = np.array(
+        [data.draw(guesses(np.concatenate((cpu[i], gpu[i])))) for i in range(rows)]
+    )
+    trier = _BatchDualHPTrier(cpu, gpu, prio, row_platforms)
+    ok, ranges = trier.try_rows(np.arange(rows), lam)
+    for i in range(rows):
+        tasks = [
+            Task(cpu_time=float(p), gpu_time=float(q), priority=float(w))
+            for p, q, w in zip(cpu[i], gpu[i], prio[i])
+        ]
+        at_lam = reference_dualhp_try(Instance(tasks), row_platforms[i], float(lam[i]))
+        assert (at_lam is not None) == ok[i]
+        assert _inside(ranges[:, i], lam[i])
+        inside, outside = _range_points(data, ranges[:, i], float(lam[i]))
+        for mu in outside:
+            assert not _inside(ranges[:, i], mu), mu
+        for mu in inside:
+            assert _inside(ranges[:, i], mu), mu
+            # A fresh pack at mu makes the same decisions: the same
+            # answer, the same range and, in the oracle, the same schedule.
+            again, again_ranges = trier.try_rows(np.array([i]), np.array([mu]))
+            assert again[0] == ok[i], mu
+            assert again_ranges[:, 0].tolist() == ranges[:, i].tolist(), mu
+            at_mu = reference_dualhp_try(Instance(tasks), row_platforms[i], mu)
+            assert (at_mu is None) == (at_lam is None), mu
+            if at_lam is not None:
+                assert placements(at_mu) == placements(at_lam), mu
+
+
+def test_batch_decision_range_opens_at_an_end_equal_to_the_limit():
+    # One CPU packs 0.5, 0.75 and 0.75: the last end is 2.0, exactly the
+    # limit at lam = 1, so the range opens at lam and the guess just
+    # below it packs differently.
+    cpu = np.array([[0.5, 0.75, 0.75]])
+    trier = _BatchDualHPTrier(cpu, cpu.copy(), np.zeros_like(cpu), (Platform(1, 0),))
+    ok, ranges = trier.try_rows(np.arange(1), np.array([1.0]))
+    assert ok[0]
+    assert ranges[:, 0].tolist() == [0.75, np.inf, 2.0, np.inf]
+    assert _inside(ranges[:, 0], 1.0)
+    below = np.nextafter(1.0, -np.inf)
+    assert not _inside(ranges[:, 0], below)
+    assert not trier.try_rows(np.arange(1), np.array([below]))[0][0]
