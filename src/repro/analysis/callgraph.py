@@ -19,9 +19,9 @@ conservative in the direction that matters for a CI gate: a *resolved*
 path is really there, and reachability errs toward including code.
 
 Model construction is memoised per module on ``(mtime_ns, size)`` so a
-warm rebuild (the ``analyze:tree`` bench case, repeated CLI runs in one
-process) re-parses only files that changed; :func:`clear_model_caches`
-drops the memo for cold timing.
+warm rebuild (repeated analyses in one process, as in the tier-1 tests)
+re-parses only files that changed; :func:`clear_model_caches` drops the
+memo for cold timing (the ``analyze:tree:cold`` bench case).
 """
 
 from __future__ import annotations

@@ -34,18 +34,18 @@ code (stale closures that selective invalidation has re-keyed) from
 the root cache, every ``repro serve`` tenant cache under it and the
 compiled-graph store.
 
-``bench`` runs the simulator perf harness (:mod:`repro.bench`) and
-prints its report; ``--json FILE`` also writes it (the committed
-baseline is ``BENCH_simcore.json``); ``--quick`` selects the CI smoke
-subset, ``--baseline FILE`` fails the run when events/sec regresses
-more than ``--threshold`` (default 30%) below a committed report.
-Any invocation accepts ``--profile`` to wrap the run in ``cProfile``
-and print the top cumulative-time hotspots.
+``bench`` runs the perf harness (:mod:`repro.bench`) and prints its
+report; ``--json FILE`` also writes it (the committed baseline is
+``BENCH_simcore.json``); ``--quick`` selects the CI smoke subset, and
+``--baseline FILE`` fails the run when a case's calibration-normalized
+events/sec falls more than 30% below a committed report.  Any
+invocation accepts ``--profile`` to wrap the run in ``cProfile`` and
+print the top cumulative-time hotspots.
 
 ``lint`` runs the determinism linter (:mod:`repro.analysis`) over the
-tree; ``--cache-gate`` additionally verifies the committed
-``analysis/fingerprints.json`` salt manifest, and
-``--write-fingerprints`` regenerates it after a ``CODE_VERSION`` bump.
+tree; ``--cache-gate`` additionally verifies that the committed
+``analysis/fingerprints.json`` salt manifest describes the tree, and
+``--write-fingerprints`` regenerates it after a salted-module edit.
 
 ``analyze`` runs the whole-program flow checks
 (:mod:`repro.analysis.flow`): determinism taint into cache-keyed
@@ -248,12 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bench: run the small CI smoke subset instead of the full suite",
     )
     bench.add_argument(
-        "--batch",
-        action="store_true",
-        help="bench: also run the lockstep batch-engine cases (batch vs "
-        "scalar throughput per fig6/fig7 grid)",
-    )
-    bench.add_argument(
         "--json",
         metavar="FILE",
         default=None,
@@ -266,19 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bench: committed baseline report to regression-check against",
     )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.30,
-        metavar="FRAC",
-        help="bench: allowed events/sec drop vs baseline (default: 0.30)",
-    )
     lint = parser.add_argument_group("lint options")
     lint.add_argument(
         "--cache-gate",
         action="store_true",
         help="lint: also verify analysis/fingerprints.json against the tree "
-        "(fails on a salted-module change without a CODE_VERSION bump)",
+        "(fails on a stale manifest; regenerate it with --write-fingerprints)",
     )
     lint.add_argument(
         "--write-fingerprints",
@@ -502,15 +489,13 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    """The ``repro bench`` subcommand: the simulator perf harness."""
+    """The ``repro bench`` subcommand: the perf harness."""
     from repro import bench
 
     return bench.main(
         quick=args.quick,
-        batch=args.batch,
         out=None if args.json in (None, "-") else args.json,
         baseline=args.baseline,
-        threshold=args.threshold,
     )
 
 

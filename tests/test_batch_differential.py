@@ -99,6 +99,12 @@ def test_independent_seed_sweep_bit_identical():
     counts = result.abort_counts
     assert counts.sum() > 0
     assert counts.min() != counts.max()
+    # The first rows of `repro bench`'s quick lockstep grid (500 tasks,
+    # seeds from 42): long rows, each of which spoliates several times.
+    rows, cpu, gpu = _independent_rows(500, range(42, 46))
+    result = batch_heteroprio_schedule(cpu, gpu, PAPER_PLATFORM)
+    assert_same_heteroprio_rows(rows, [PAPER_PLATFORM] * len(rows), result)
+    assert result.abort_counts.min() > 0
 
 
 @pytest.mark.parametrize("platform", [Platform(4, 2), Platform(2, 1), Platform(1, 3)])
@@ -222,13 +228,16 @@ def test_offline_heft_seed_sweep_bit_identical():
 
 
 def test_offline_dualhp_seed_sweep_bit_identical():
-    rows, cpu, gpu = _independent_rows(40, range(300, 300 + N_SEEDS))
-    result = batch_dualhp_schedule(cpu, gpu, PAPER_PLATFORM)
-    for b, tasks in enumerate(rows):
-        ref = dualhp_schedule(Instance(tasks), PAPER_PLATFORM)
-        assert_same_schedule(ref.schedule, result.schedule(b, tasks), b)
-        # The accepted dual guess, not just the resulting schedule.
-        assert ref.lam == float(result.lams[b]), b
+    # A small-row sweep, and the first rows of `repro bench`'s quick
+    # lockstep grid (500 tasks, seeds from 42).
+    for n_tasks, seeds in ((40, range(300, 300 + N_SEEDS)), (500, range(42, 46))):
+        rows, cpu, gpu = _independent_rows(n_tasks, seeds)
+        result = batch_dualhp_schedule(cpu, gpu, PAPER_PLATFORM)
+        for b, tasks in enumerate(rows):
+            ref = dualhp_schedule(Instance(tasks), PAPER_PLATFORM)
+            assert_same_schedule(ref.schedule, result.schedule(b, tasks), (n_tasks, b))
+            # The accepted dual guess, not just the resulting schedule.
+            assert ref.lam == float(result.lams[b]), (n_tasks, b)
 
 
 @pytest.mark.parametrize(
